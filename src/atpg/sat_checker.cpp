@@ -237,4 +237,21 @@ AtpgResult SatChecker::check_replacement_impl(const ReplacementSite& site,
   POWDER_CHECK(false);
 }
 
+AtpgResult prove_replacement(AtpgChecker& atpg, SatChecker& sat,
+                             ProofEngine engine, const ReplacementSite& site,
+                             const ReplacementFunction& rep) {
+  switch (engine) {
+    case ProofEngine::kPodem:
+      return atpg.check_replacement(site, rep);
+    case ProofEngine::kSat:
+      return sat.check_replacement(site, rep);
+    case ProofEngine::kHybrid: {
+      const AtpgResult r = atpg.check_replacement(site, rep);
+      if (r != AtpgResult::kAborted) return r;
+      return sat.check_replacement(site, rep);
+    }
+  }
+  return AtpgResult::kAborted;
+}
+
 }  // namespace powder

@@ -67,4 +67,12 @@ class SatChecker {
 ///            default.
 enum class ProofEngine { kPodem, kSat, kHybrid };
 
+/// One permissibility check of `rep` at `site` with `engine`: the single
+/// engine dispatch shared by the global loop and the window optimizer. A
+/// verdict depends only on the netlist state and the replacement. Engine
+/// errors propagate; each caller decides how to turn them into kAborted.
+AtpgResult prove_replacement(AtpgChecker& atpg, SatChecker& sat,
+                             ProofEngine engine, const ReplacementSite& site,
+                             const ReplacementFunction& rep);
+
 }  // namespace powder

@@ -5,11 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <optional>
-#include <set>
-#include <shared_mutex>
 #include <thread>
 #include <unordered_set>
 
@@ -29,7 +25,6 @@
 #include "util/error.hpp"
 #include "util/memstats.hpp"
 #include "util/fault_injection.hpp"
-#include "util/mpmc_queue.hpp"
 #include "util/thread_pool.hpp"
 #include "window/extract.hpp"
 #include "window/partition.hpp"
@@ -71,32 +66,12 @@ bool corrupt_candidate(const Netlist& nl, const Simulator& sim,
   return false;
 }
 
-/// One permissibility check with the configured engine (hybrid escalates an
-/// aborted PODEM run to the SAT miter). Used identically by the commit
-/// thread and the proof workers, so a verdict depends only on the netlist
-/// state and the candidate — never on which thread produced it.
-AtpgResult prove_one(AtpgChecker& atpg, SatChecker& sat, ProofEngine engine,
-                     const CandidateSub& cand) {
-  switch (engine) {
-    case ProofEngine::kPodem:
-      return atpg.check_replacement(cand.site(), cand.rep);
-    case ProofEngine::kSat:
-      return sat.check_replacement(cand.site(), cand.rep);
-    case ProofEngine::kHybrid: {
-      const AtpgResult r = atpg.check_replacement(cand.site(), cand.rep);
-      if (r != AtpgResult::kAborted) return r;
-      return sat.check_replacement(cand.site(), cand.rep);
-    }
-  }
-  return AtpgResult::kAborted;
-}
-
-/// prove_one with transient-failure isolation: an engine that *throws*
-/// (rather than returning a verdict) is retried up to `max_retries` times
-/// with capped exponential backoff, then the candidate is treated as
-/// kAborted — a sound rejection, never an unproven acceptance. Shared by
-/// the commit thread and the proof workers; the chaos site kProofTransient
-/// exercises the retry path deterministically.
+/// One permissibility check with transient-failure isolation: an engine
+/// that *throws* (rather than returning a verdict) is retried up to
+/// `max_retries` times with capped exponential backoff, then the candidate
+/// is treated as kAborted — a sound rejection, never an unproven
+/// acceptance. The chaos site kProofTransient exercises the retry path
+/// deterministically.
 AtpgResult prove_with_retry(AtpgChecker& atpg, SatChecker& sat,
                             ProofEngine engine, const CandidateSub& cand,
                             int max_retries, Counter* retries) {
@@ -104,7 +79,7 @@ AtpgResult prove_with_retry(AtpgChecker& atpg, SatChecker& sat,
     try {
       if (inject_fault(FaultInjector::Site::kProofTransient))
         throw Error::proof_engine("injected transient proof failure");
-      return prove_one(atpg, sat, engine, cand);
+      return prove_replacement(atpg, sat, engine, cand.site(), cand.rep);
     } catch (const CheckError&) {
       if (attempt >= max_retries) return AtpgResult::kAborted;
       if (retries != nullptr) retries->inc();
@@ -113,13 +88,6 @@ AtpgResult prove_with_retry(AtpgChecker& atpg, SatChecker& sat,
     }
   }
 }
-
-/// Total order over a candidate's proof obligation (site + replacement):
-/// the cache key of the speculative proof pipeline.
-struct ProofKey {
-  std::array<long long, 12> v{};
-  bool operator<(const ProofKey& o) const { return v < o.v; }
-};
 
 const char* engine_name(ProofEngine e) {
   switch (e) {
@@ -148,232 +116,6 @@ const char* rep_kind_name(ReplacementFunction::Kind k) {
   }
   return "?";
 }
-
-ProofKey make_key(const CandidateSub& cand) {
-  long long tt = 0;
-  if (cand.rep.kind == ReplacementFunction::Kind::kTwoInput)
-    for (int m = 0; m < 4; ++m)
-      if (cand.rep.two_input_fn.bit(m)) tt |= 1ll << m;
-  if (cand.rep.kind == ReplacementFunction::Kind::kCell) {
-    // Fold the ordered divisor set and the k-var function into one FNV
-    // digest; b/c stay kNullGate for kCell, so the digest disambiguates.
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t x) {
-      for (int i = 0; i < 8; ++i) {
-        h ^= (x >> (8 * i)) & 0xFF;
-        h *= 1099511628211ull;
-      }
-    };
-    for (const GateId d : cand.rep.divisors) mix(d);
-    const std::uint64_t minterms = cand.rep.two_input_fn.num_vars() > 0
-        ? cand.rep.two_input_fn.num_minterms_capacity() : 0;
-    for (std::uint64_t m = 0; m < minterms; ++m)
-      mix(cand.rep.two_input_fn.bit(m) ? 1 : 0);
-    tt = static_cast<long long>(h);
-  }
-  ProofKey k;
-  k.v = {static_cast<long long>(cand.cls),
-         static_cast<long long>(cand.target),
-         cand.branch ? static_cast<long long>(cand.branch->gate) : -1,
-         cand.branch ? static_cast<long long>(cand.branch->pin) : -1,
-         static_cast<long long>(cand.rep.kind),
-         cand.rep.constant_value ? 1 : 0,
-         static_cast<long long>(cand.rep.b),
-         cand.rep.invert_b ? 1 : 0,
-         static_cast<long long>(cand.rep.c),
-         cand.rep.invert_c ? 1 : 0,
-         tt,
-         static_cast<long long>(cand.new_cell)};
-  return k;
-}
-
-/// Speculative proof pipeline: N workers pop candidate proofs from a
-/// bounded MPMC queue, prove them against the *current* netlist under a
-/// shared lock, and cache the verdict. The single commit thread enqueues
-/// shortlist candidates, looks verdicts up before proving inline, and
-/// brackets every netlist mutation with begin/end_mutation — which bumps
-/// the version (invalidating queued jobs), clears the cache, and takes the
-/// lock exclusively so no worker reads a half-mutated netlist. Verdicts are
-/// pure functions of (netlist state, candidate), so a cache hit equals the
-/// proof the serial code would have run — results stay bit-identical.
-class ProofPipeline {
- public:
-  ProofPipeline(const Netlist& netlist, const AtpgOptions& atpg_options,
-                const SatCheckerOptions& sat_options, ProofEngine engine,
-                int num_workers, TraceSession* trace = nullptr,
-                int proof_retries = 0, double watchdog_seconds = -1.0,
-                Counter* retries_counter = nullptr,
-                Counter* watchdog_counter = nullptr)
-      : netlist_(&netlist),
-        engine_(engine),
-        queue_(256),
-        trace_(trace),
-        proof_retries_(proof_retries),
-        watchdog_seconds_(watchdog_seconds),
-        retries_counter_(retries_counter),
-        watchdog_counter_(watchdog_counter) {
-    workers_.reserve(static_cast<std::size_t>(num_workers));
-    for (int i = 0; i < num_workers; ++i)
-      workers_.emplace_back([this, atpg_options, sat_options] {
-        worker_loop(atpg_options, sat_options);
-      });
-  }
-
-  ~ProofPipeline() { shutdown(); }
-
-  void shutdown() {
-    if (shut_down_) return;
-    shut_down_ = true;
-    queue_.close();
-    for (std::thread& t : workers_) t.join();
-  }
-
-  /// Hands a candidate's proof to the workers unless it is already proved,
-  /// already in flight, or the queue is full (speculation is best-effort).
-  void speculate(const CandidateSub& cand) {
-    const ProofKey key = make_key(cand);
-    {
-      std::lock_guard<std::mutex> lock(results_mutex_);
-      if (results_.count(key) != 0 || in_flight_.count(key) != 0) return;
-      in_flight_.insert(key);
-    }
-    ProofJob job{version_.load(std::memory_order_relaxed), cand};
-    if (!queue_.try_push(std::move(job))) {
-      std::lock_guard<std::mutex> lock(results_mutex_);
-      in_flight_.erase(key);
-      return;
-    }
-    ++jobs_enqueued_;
-  }
-
-  /// Cached verdict for `cand` (waiting for a worker that is mid-proof on
-  /// it); nullopt when the pipeline never got to this candidate. The wait
-  /// is bounded by the session watchdog: a worker that stalls past the
-  /// timeout is declared stuck and the obligation is requeued on the commit
-  /// thread (the straggler's late result is version-checked and dropped, so
-  /// a stuck worker costs latency, never correctness).
-  std::optional<AtpgResult> lookup(const CandidateSub& cand) {
-    const ProofKey key = make_key(cand);
-    std::unique_lock<std::mutex> lock(results_mutex_);
-    const auto not_in_flight = [&] { return in_flight_.count(key) == 0; };
-    if (watchdog_seconds_ > 0.0) {
-      if (!results_cv_.wait_for(
-              lock, std::chrono::duration<double>(watchdog_seconds_),
-              not_in_flight)) {
-        if (watchdog_counter_ != nullptr) watchdog_counter_->inc();
-        return std::nullopt;
-      }
-    } else {
-      results_cv_.wait(lock, not_in_flight);
-    }
-    const auto it = results_.find(key);
-    if (it == results_.end()) return std::nullopt;
-    ++speculative_hits_;
-    return it->second;
-  }
-
-  /// Must bracket every netlist mutation (apply or rollback).
-  void begin_mutation() {
-    version_.fetch_add(1, std::memory_order_relaxed);
-    {
-      std::lock_guard<std::mutex> lock(results_mutex_);
-      results_.clear();
-    }
-    netlist_mutex_.lock();
-  }
-  void end_mutation() { netlist_mutex_.unlock(); }
-
-  long jobs_enqueued() const { return jobs_enqueued_; }
-  long speculative_hits() const { return speculative_hits_; }
-  long stale_dropped() const {
-    return stale_dropped_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct ProofJob {
-    std::uint64_t version = 0;
-    CandidateSub cand;
-  };
-
-  void worker_loop(AtpgOptions atpg_options, SatCheckerOptions sat_options) {
-    // Worker-owned engines: the checkers keep per-check scratch state, so
-    // each worker needs its own pair (they share the atomic budget).
-    AtpgChecker atpg(*netlist_, atpg_options);
-    SatChecker sat(*netlist_, sat_options);
-    while (std::optional<ProofJob> job = queue_.pop()) {
-      const ProofKey key = make_key(job->cand);
-      // Injected stall (watchdog bait): the worker wedges *outside* the
-      // netlist lock, so only this job's consumers wait, never a commit.
-      if (inject_fault(FaultInjector::Site::kProofStall))
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      AtpgResult verdict{};
-      bool proved = false;
-      {
-        std::shared_lock<std::shared_mutex> lock(netlist_mutex_);
-        // A mutation bumps the version *before* it can take the lock, so a
-        // current version here guarantees the netlist matches the job.
-        if (job->version == version_.load(std::memory_order_relaxed)) {
-          TraceSpan span(trace_, "proof_job", "proof");
-          verdict = prove_with_retry(atpg, sat, engine_, job->cand,
-                                     proof_retries_, retries_counter_);
-          proved = true;
-          span.arg("target", static_cast<long long>(job->cand.target));
-          span.arg("verdict", static_cast<long long>(verdict));
-        }
-      }
-      {
-        std::lock_guard<std::mutex> lock(results_mutex_);
-        in_flight_.erase(key);
-        if (proved &&
-            job->version == version_.load(std::memory_order_relaxed)) {
-          results_[key] = verdict;
-        } else {
-          stale_dropped_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      results_cv_.notify_all();
-    }
-  }
-
-  const Netlist* netlist_;
-  ProofEngine engine_;
-  MpmcQueue<ProofJob> queue_;
-  TraceSession* trace_;
-  int proof_retries_ = 0;
-  double watchdog_seconds_ = -1.0;
-  Counter* retries_counter_ = nullptr;
-  Counter* watchdog_counter_ = nullptr;
-  std::vector<std::thread> workers_;
-  bool shut_down_ = false;
-
-  std::shared_mutex netlist_mutex_;
-  std::atomic<std::uint64_t> version_{0};
-
-  std::mutex results_mutex_;
-  std::condition_variable results_cv_;
-  std::map<ProofKey, AtpgResult> results_;
-  std::set<ProofKey> in_flight_;
-
-  long jobs_enqueued_ = 0;     // commit thread only
-  long speculative_hits_ = 0;  // commit thread only
-  std::atomic<long> stale_dropped_{0};
-};
-
-/// RAII mutation bracket; no-op without a pipeline (threads == 1).
-class MutationScope {
- public:
-  explicit MutationScope(ProofPipeline* pipeline) : pipeline_(pipeline) {
-    if (pipeline_ != nullptr) pipeline_->begin_mutation();
-  }
-  ~MutationScope() {
-    if (pipeline_ != nullptr) pipeline_->end_mutation();
-  }
-  MutationScope(const MutationScope&) = delete;
-  MutationScope& operator=(const MutationScope&) = delete;
-
- private:
-  ProofPipeline* pipeline_;
-};
 
 }  // namespace
 
@@ -559,8 +301,6 @@ PowderReport PowderOptimizer::run() {
                                "Proofs run inline on the commit thread");
   const Meter m_retries = meter("powder_proof_retries_total",
                                 "Transient proof failures retried");
-  const Meter m_watchdog = meter("powder_watchdog_requeues_total",
-                                 "Stuck proof jobs requeued inline");
   const Meter m_degraded =
       meter("powder_rejected_degraded_total",
             "Candidates rejected unproven by the degradation ladder");
@@ -620,9 +360,9 @@ PowderReport PowderOptimizer::run() {
                            options_.proof.engine, reg, audit);
   ladder.set_progress(prog);
 
-  // Shared pool for the data-parallel kernels (word-sharded simulation and
-  // the three-pass candidate harvest). Proof workers are separate dedicated
-  // threads — they block on the queue, not on pool work.
+  // Shared pool for the data-parallel kernels: word-sharded simulation, the
+  // three-pass candidate harvest and the window fan-out. Proofs never run on
+  // it in the global loop — each one runs inline, in selection order.
   ThreadPool pool(threads - 1);
 
   MetricsRegistry* const component_metrics = options_.trace.metrics;
@@ -718,20 +458,6 @@ PowderReport PowderOptimizer::run() {
   sat_options.metrics = component_metrics;
   AtpgChecker atpg(*netlist_, atpg_options);
   SatChecker sat(*netlist_, sat_options);
-
-  // Speculative proof workers (threads - 1 of them); null in serial mode,
-  // which keeps the exact single-threaded code path. The copied checker
-  // options carry the trace/metrics sinks into every worker's own engines.
-  // Windowed mode spends its threads on the window fan-out instead, and its
-  // results must not depend on the thread count — no speculation there.
-  std::optional<ProofPipeline> pipeline;
-  if (threads > 1 && !windowed)
-    pipeline.emplace(*netlist_, atpg_options, sat_options,
-                     options_.proof.engine, threads - 1, trace,
-                     options_.session.proof_retries,
-                     options_.session.watchdog_seconds, m_retries.c,
-                     m_watchdog.c);
-  ProofPipeline* pipe = pipeline.has_value() ? &*pipeline : nullptr;
 
   SubstJournal journal(netlist_);
   journal.set_trace(trace, component_metrics);
@@ -1362,18 +1088,6 @@ PowderReport PowderOptimizer::run() {
         }
         if (best == cands.size()) break;  // nothing left that helps
 
-        // Speculate on the rest of the shortlist: if the chosen candidate is
-        // rejected (delay or proof), the netlist is unchanged and the next
-        // selection will pick from these — their verdicts are then already
-        // cached. A commit invalidates the speculation wholesale. Pointless
-        // while the WAL oracle answers proofs (resume fast-forward) or the
-        // ladder has stepped off the full engine.
-        if (pipe != nullptr && !resume.active() &&
-            ladder.level() == DegradationLevel::kFullProof) {
-          for (std::size_t k = 0; k < shortlist; ++k)
-            if (order[k] != best) pipe->speculate(cands[order[k]]);
-        }
-
         CandidateSub chosen = cands[best];
         cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
         const bool pg_c_known = !area_mode;
@@ -1448,24 +1162,15 @@ PowderReport PowderOptimizer::run() {
                 ladder.level() == DegradationLevel::kPodemOnly
                     ? ProofEngine::kPodem
                     : options_.proof.engine;
-            // Speculative verdicts were proved with the configured engine;
-            // they stay usable only while the ladder has not changed it.
-            if (pipe != nullptr && engine == options_.proof.engine) {
-              proof = pipe->lookup(chosen);
-              if (proof.has_value()) proof_engine = "speculative";
-            }
-            if (!proof.has_value()) {
-              const bool timed = options_.trace.any();
-              const std::uint64_t t0 = timed ? trace_now_ns() : 0;
-              proof = prove_with_retry(atpg, sat, engine, chosen,
-                                       options_.session.proof_retries,
-                                       m_retries.c);
-              if (timed)
-                proof_us =
-                    static_cast<double>(trace_now_ns() - t0) / 1000.0;
-              proof_engine = engine_name(engine);
-              m_inline.c->inc();
-            }
+            const bool timed = options_.trace.any();
+            const std::uint64_t t0 = timed ? trace_now_ns() : 0;
+            proof = prove_with_retry(atpg, sat, engine, chosen,
+                                     options_.session.proof_retries,
+                                     m_retries.c);
+            if (timed)
+              proof_us = static_cast<double>(trace_now_ns() - t0) / 1000.0;
+            proof_engine = engine_name(engine);
+            m_inline.c->inc();
           }
           proof_verdict = verdict_name(*proof);
           if (*proof != AtpgResult::kUntestable) {
@@ -1483,7 +1188,6 @@ PowderReport PowderOptimizer::run() {
         const bool replaying = resume.matches(chosen);
         AppliedSub applied;
         try {
-          MutationScope scope(pipe);
           applied = journal.apply(chosen);
         } catch (const CheckError&) {
           // Stale or invalid at the last moment: the apply validated before
@@ -1510,10 +1214,7 @@ PowderReport PowderOptimizer::run() {
           audit_decision(chosen, "guard_rollback", pg_c_known, proof_engine,
                          proof_verdict, proof_us);
           try {
-            {
-              MutationScope scope(pipe);
-              journal.rollback_last();
-            }
+            journal.rollback_last();
             resync();
           } catch (const CheckError&) {
             // Rollback itself failed (possible only with a corrupted
@@ -1568,15 +1269,6 @@ PowderReport PowderOptimizer::run() {
         prog->phase(audit_iteration, "commit", performed, "applied");
       iter_span.arg("applied", performed);
     }
-  }
-
-  // Stop the proof workers before the end-of-run guard walk: from here on
-  // the netlist mutates without speculation to invalidate.
-  if (pipeline.has_value()) {
-    pipeline->shutdown();
-    report.diagnostics.proof_jobs_enqueued = pipeline->jobs_enqueued();
-    report.diagnostics.speculative_proof_hits = pipeline->speculative_hits();
-    report.diagnostics.stale_proofs_dropped = pipeline->stale_dropped();
   }
 
   // Registry -> report snapshot (the Diagnostics compat shim). Must happen
@@ -1663,7 +1355,6 @@ PowderReport PowderOptimizer::run() {
   recorder.record_end();
   report.diagnostics.degradation_events = ladder.transitions();
   report.diagnostics.retries = m_retries.delta();
-  report.diagnostics.watchdog_requeues = m_watchdog.delta();
   report.diagnostics.checkpoint_frames = recorder.frames();
   report.diagnostics.resume_replayed = resume.replayed();
   report.diagnostics.checkpoint_disabled = recorder.degraded();
@@ -1712,15 +1403,6 @@ PowderReport PowderOptimizer::run() {
     auto pub = [&](const char* name, const char* help, long long v) {
       r.counter(name, help)->inc(v);
     };
-    pub("powder_proof_jobs_enqueued_total",
-        "Speculative proof jobs handed to workers",
-        report.diagnostics.proof_jobs_enqueued);
-    pub("powder_speculative_proof_hits_total",
-        "Chosen candidates served from the speculative proof cache",
-        report.diagnostics.speculative_proof_hits);
-    pub("powder_stale_proofs_dropped_total",
-        "Worker proof results invalidated by commits",
-        report.diagnostics.stale_proofs_dropped);
     pub("powder_deltas_published_total",
         "Netlist deltas published during the run",
         report.diagnostics.deltas_published);

@@ -44,8 +44,9 @@ struct AuditRecord {
   double pg_c = 0.0;
   bool pg_c_known = false;     ///< PG_C is only computed for the shortlist
   /// Permissibility proof, when one ran: engine "podem"/"sat"/"hybrid"
-  /// (inline) or "speculative" (verdict served by the proof pipeline's
-  /// cache), verdict "untestable"/"test_found"/"aborted".
+  /// (proved inline), "replay" (answered by the WAL on resume) or "none"
+  /// (skipped by the degradation ladder), verdict
+  /// "untestable"/"test_found"/"aborted"/"skipped".
   const char* proof_engine = nullptr;
   const char* proof_verdict = nullptr;
   double proof_us = -1.0;      ///< inline proof wall time; <0 = n/a
@@ -55,7 +56,7 @@ struct AuditRecord {
 };
 
 /// A run-level event line, distinct from per-candidate decision records:
-/// degradation-ladder transitions, checkpoint failures, watchdog firings.
+/// degradation-ladder transitions and checkpoint failures.
 /// Events render as `{"event":...}` NDJSON lines interleaved with decision
 /// records but counted separately (records() stays a pure decision count).
 struct AuditEvent {

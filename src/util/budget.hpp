@@ -9,10 +9,11 @@
 // pool is dry or the deadline has passed. Exhaustion is therefore always a
 // clean, reported degradation — never a hang and never a hard error.
 //
-// The pools are atomic: POWDER's proof pipeline runs permissibility checks
-// on several worker threads against the same budget, and a CAS loop in
-// `consume` guarantees the pool is debited exactly once per unit of effort
-// and never goes negative — concurrent workers cannot double-spend.
+// The pools are atomic: windowed runs optimize window shards on pool
+// threads, and every shard's proof engines draw on the same budget. A CAS
+// loop in `consume` guarantees the pool is debited exactly once per unit of
+// effort and never goes negative — concurrent shards cannot double-spend.
+// (The global loop proves inline on one thread, so its draws are serial.)
 
 #include <atomic>
 #include <chrono>

@@ -28,7 +28,6 @@ class FaultInjector {
     kOutputWrite,     ///< atomic artifact write fails before the rename
     kAllocFail,       ///< scratch allocation on the checkpoint path fails
     kProofTransient,  ///< proof engine throws a transient (retryable) error
-    kProofStall,      ///< proof worker stalls mid-job (watchdog bait)
     kCount_
   };
   static constexpr int kNumSites = static_cast<int>(Site::kCount_);
@@ -52,8 +51,9 @@ class FaultInjector {
   static void install(FaultInjector* injector);
 
  private:
-  // Occurrence counters are atomic: proof-engine sites (kAtpgProof,
-  // kProofTransient, kProofStall) fire concurrently from pipeline workers.
+  // Occurrence counters are atomic: windowed runs optimize window shards
+  // on pool threads, so the proof-engine sites (kAtpgProof, kSatProof) and
+  // the journal site (kCorruptDelta) fire concurrently from several shards.
   // Arming happens while the optimizer is quiescent, so skip/count stay
   // plain.
   struct SiteState {

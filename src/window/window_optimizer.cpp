@@ -21,20 +21,10 @@ namespace {
 AtpgResult prove_local(AtpgChecker& atpg, SatChecker& sat, ProofEngine engine,
                        const CandidateSub& cand) {
   try {
-    switch (engine) {
-      case ProofEngine::kPodem:
-        return atpg.check_replacement(cand.site(), cand.rep);
-      case ProofEngine::kSat:
-        return sat.check_replacement(cand.site(), cand.rep);
-      case ProofEngine::kHybrid: {
-        const AtpgResult r = atpg.check_replacement(cand.site(), cand.rep);
-        if (r != AtpgResult::kAborted) return r;
-        return sat.check_replacement(cand.site(), cand.rep);
-      }
-    }
+    return prove_replacement(atpg, sat, engine, cand.site(), cand.rep);
   } catch (const CheckError&) {
+    return AtpgResult::kAborted;
   }
-  return AtpgResult::kAborted;
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Tests for the parallel infrastructure: ThreadPool sharding semantics,
 // word-sharded simulation parity, pooled candidate harvesting parity, and
 // the headline guarantee that a multi-threaded optimize() run produces a
-// bit-identical netlist to the single-threaded one.
+// bit-identical netlist to the single-threaded one — with unlimited and
+// with finite proof pools.
 
 #include <gtest/gtest.h>
 
@@ -148,13 +149,17 @@ TEST(ParallelParity, PooledHarvestMatchesSerial) {
   }
 }
 
-PowderReport run_with_threads(Netlist* nl, int threads) {
+PowderReport run_with_threads(Netlist* nl, int threads,
+                              long atpg_backtrack_pool = -1,
+                              long sat_conflict_pool = -1) {
   return optimize(*nl, PowderOptions::builder()
                            .patterns(1024)
                            .repeat(10)
                            .max_outer_iterations(4)
                            .seed(7)
                            .threads(threads)
+                           .atpg_backtrack_pool(atpg_backtrack_pool)
+                           .sat_conflict_pool(sat_conflict_pool)
                            .build());
 }
 
@@ -178,6 +183,30 @@ TEST(ParallelParity, MultithreadedOptimizeIsBitIdenticalToSerial) {
   EXPECT_DOUBLE_EQ(r1.final_delay, r8.final_delay);
 }
 
+// Finite proof pools drain as proofs spend them. Proofs run one at a time
+// in selection order at every thread count, so the pools run dry at the
+// same candidate and the run takes the same decisions as the serial one.
+TEST(ParallelParity, FiniteProofPoolsStayBitIdenticalAcrossThreadCounts) {
+  const CellLibrary lib = CellLibrary::standard();
+  const Netlist initial = map_aig(make_benchmark("duke2"), lib);
+
+  Netlist nl1 = initial;
+  const PowderReport r1 = run_with_threads(&nl1, 1, 20, 200);
+  EXPECT_GT(r1.substitutions_applied, 0);
+  const std::string blif1 = write_blif(nl1);
+
+  for (const int threads : {2, 4}) {
+    Netlist nl = initial;
+    const PowderReport r = run_with_threads(&nl, threads, 20, 200);
+    EXPECT_EQ(r.diagnostics.threads_used, threads);
+    EXPECT_EQ(write_blif(nl), blif1) << "threads " << threads;
+    EXPECT_EQ(r.substitutions_applied, r1.substitutions_applied)
+        << "threads " << threads;
+    EXPECT_EQ(r.final_power, r1.final_power) << "threads " << threads;
+    EXPECT_EQ(r.final_area, r1.final_area) << "threads " << threads;
+  }
+}
+
 TEST(ParallelParity, ThreadsZeroMeansAllCoresAndStaysDeterministic) {
   const CellLibrary lib = CellLibrary::standard();
   const Netlist initial = map_aig(make_benchmark("bw"), lib);
@@ -199,6 +228,12 @@ TEST(ParallelParity, ReportJsonContainsDiagnostics) {
   EXPECT_NE(json.find("\"threads_used\":2"), std::string::npos);
   EXPECT_NE(json.find("\"final_power\""), std::string::npos);
   EXPECT_NE(json.find("\"by_class\""), std::string::npos);
+  // Report schema v5 keeps the keys of the removed speculative proof
+  // pipeline and the watchdog; they always read 0.
+  for (const char* key :
+       {"\"proof_jobs_enqueued\":0", "\"speculative_proof_hits\":0",
+        "\"stale_proofs_dropped\":0", "\"watchdog_requeues\":0"})
+    EXPECT_NE(json.find(key), std::string::npos) << key;
 }
 
 }  // namespace

@@ -2,7 +2,7 @@
 // (including a real fork+SIGKILL crash at a commit boundary), typed
 // rejection of mismatched or damaged checkpoints, graceful degradation of
 // checkpointing under injected I/O faults, the degradation ladder's
-// monotone staircase, the stuck-proof watchdog, and transient-proof retry.
+// monotone staircase, and transient-proof retry.
 
 #include <signal.h>
 #include <sys/wait.h>
@@ -474,25 +474,7 @@ TEST(DegradationLadder, MemLimitStopsCleanly) {
   EXPECT_EQ(write_blif(nl), write_blif(input));  // stopped before any commit
 }
 
-// --- watchdog + retry ----------------------------------------------------
-
-// Stalled speculative proof workers (injected 50ms stall per job) against
-// a ~1ms watchdog: every lookup of an in-flight job times out, gets
-// requeued inline, and the run still completes bit-identically.
-TEST(Watchdog, StuckProofJobsAreRequeuedInline) {
-  const Netlist input = make_input();
-  const RunResult ref = run(input, base_options());
-
-  ScopedFaultInjector fi;
-  fi->arm(FaultInjector::Site::kProofStall);
-  SessionOptions session;
-  session.watchdog_seconds = 0.001;
-  const RunResult res = run(input, base_options().threads(2).session(session));
-  fi->disarm(FaultInjector::Site::kProofStall);
-
-  expect_same_outcome(res, ref);
-  EXPECT_GE(res.report.diagnostics.watchdog_requeues, 1);
-}
+// --- retry ---------------------------------------------------------------
 
 // Transient proof-engine failures are retried with backoff and then
 // succeed: the run's outcome is unchanged and the retries are counted.

@@ -360,7 +360,7 @@ TEST(Audit, LineCountMatchesCandidatesConsideredThreaded) {
   EXPECT_EQ(trace.dropped(), 0u);
   for (const char* span : {"\"optimize\"", "\"iteration\"", "\"harvest\"",
                            "\"harvest_shard\"", "\"journal_commit\"",
-                           "\"sta_resync_arrival\"", "\"proof_job\""})
+                           "\"sta_resync_arrival\"", "\"podem_check\""})
     EXPECT_NE(json.find(span), std::string::npos) << span;
 
   // The registry snapshot embedded in the report is the registry's JSON,
