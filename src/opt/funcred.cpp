@@ -38,6 +38,10 @@ FuncredStats functional_reduction(Netlist& netlist, Simulator& sim,
                                   std::vector<FuncredCommit>* commits) {
   POWDER_CHECK(hooks.prove != nullptr);
   FuncredStats stats;
+  const std::function<void()> resync = [&]() {
+    sim.refresh();
+    if (hooks.resync) hooks.resync();
+  };
 
   for (int round = 0;; ++round) {
     stats.rounds = round + 1;
@@ -131,19 +135,18 @@ FuncredStats functional_reduction(Netlist& netlist, Simulator& sim,
         continue;
       }
 
+      // An apply failure means the merge raced with an earlier merge's
+      // sweep: proven but stale, so it is skipped.
       AppliedSub applied;
-      try {
-        applied = journal.apply(cand);
-      } catch (const CheckError&) {
-        continue;  // raced with an earlier merge's sweep; proven but stale
-      }
-      sim.refresh();
-      if (hooks.resync) hooks.resync();
-      if (hooks.guard_ok && !hooks.guard_ok()) {
+      const ApplyStatus status = checked_apply(
+          journal, cand, resync, hooks.guard, /*check_invariants=*/false,
+          &applied);
+      if (status == ApplyStatus::kApplyFailed) continue;
+      if (status == ApplyStatus::kGuardFailed) {
         ++stats.guard_rollbacks;
-        journal.rollback_last();
-        sim.refresh();
-        if (hooks.resync) hooks.resync();
+        if (!undo_last(journal, resync))
+          throw CheckError("funcred: rolling back a guard-rejected merge "
+                           "failed (corrupted journal)");
         continue;
       }
 

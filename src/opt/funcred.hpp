@@ -19,13 +19,15 @@
 //
 // Soundness does NOT rest on the signature filter — signatures only
 // nominate pairs. Every merge is individually proved untestable by the
-// caller-supplied `prove` callback and then re-checked by the caller's
-// post-commit guard (`guard_ok`); a guard failure rolls the merge back
-// through the journal.
+// caller-supplied `prove` callback and then committed through the shared
+// greedy step checked_apply (opt/greedy.hpp), which re-checks it against
+// the caller's OutputGuard; a guard failure rolls the merge back through
+// the journal.
 
 #include <functional>
 #include <vector>
 
+#include "opt/greedy.hpp"
 #include "opt/journal.hpp"
 #include "opt/transform.hpp"
 #include "sim/simulator.hpp"
@@ -59,9 +61,9 @@ struct FuncredHooks {
   /// Called after every journal commit/rollback so the caller can refresh
   /// its own analyses (verify simulator, estimator, timing).
   std::function<void()> resync;
-  /// Post-commit equivalence guard on the caller's independent pattern
-  /// set; returning false rolls the merge back. May be null (no guard).
-  std::function<bool()> guard_ok;
+  /// Post-commit PO-signature guard on the caller's independent pattern
+  /// set; a failure rolls the merge back. May be null (no guard).
+  const OutputGuard* guard = nullptr;
   /// Fired once per kept merge, after the guard accepted it — the WAL
   /// recording seam (kPrepass frames are durable before the pass moves
   /// on, so a crash mid-pass loses at most the in-flight merge). May be

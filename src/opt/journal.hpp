@@ -39,6 +39,7 @@ class SubstJournal {
   /// edits share the guard/rollback machinery of substitutions.
   const AppliedSub& apply_resize(GateId gate, CellId new_cell);
 
+  const Netlist& netlist() const { return *netlist_; }
   std::size_t size() const { return deltas_.size(); }
   bool empty() const { return deltas_.empty(); }
 

@@ -4,6 +4,7 @@
 #include <array>
 #include <chrono>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <thread>
@@ -11,6 +12,7 @@
 
 #include "bdd/netlist_bdd.hpp"
 #include "opt/funcred.hpp"
+#include "opt/greedy.hpp"
 #include "opt/journal.hpp"
 #include "power/attribution.hpp"
 #include "power/power.hpp"
@@ -165,6 +167,12 @@ void PowderOptimizer::validate_options() const {
                        << o.max_outer_iterations);
   POWDER_CHECK_MSG(std::isfinite(o.min_gain),
                    "PowderOptions.min_gain must be finite");
+  POWDER_CHECK_MSG(!std::isnan(o.delay_limit_factor),
+                   "PowderOptions.delay_limit_factor must not be NaN "
+                   "(a negative factor means unconstrained)");
+  POWDER_CHECK_MSG(o.candidates.max_candidates >= 0,
+                   "PowderOptions.candidates.max_candidates must be "
+                   "non-negative, got " << o.candidates.max_candidates);
   POWDER_CHECK_MSG(o.proof.atpg.backtrack_limit >= 0,
                    "PowderOptions.proof.atpg.backtrack_limit must be non-negative, "
                    "got " << o.proof.atpg.backtrack_limit);
@@ -432,21 +440,10 @@ PowderReport PowderOptimizer::run() {
   if (options_.guard.final_equivalence_check) pristine.emplace(*netlist_);
 
   // Primary-output signature snapshot on the independent pattern set: the
-  // PI stimulus is frozen, so a permissible substitution can never change
-  // any PO word. Any mismatch after a commit is a proven miscompare.
-  const std::vector<GateId> po_gates = netlist_->outputs();
-  std::vector<std::uint64_t> po_snapshot;
-  for (GateId o : po_gates) {
-    const auto words = verify_sim.value(o);
-    po_snapshot.insert(po_snapshot.end(), words.begin(), words.end());
-  }
-  auto po_signatures_ok = [&]() {
-    std::size_t k = 0;
-    for (GateId o : po_gates)
-      for (std::uint64_t w : verify_sim.value(o))
-        if (w != po_snapshot[k++]) return false;
-    return true;
-  };
+  // guard every commit below must pass (null when the check is off).
+  const OutputGuard output_guard(verify_sim);
+  const OutputGuard* const guard =
+      options_.guard.signature_check ? &output_guard : nullptr;
 
   AtpgOptions atpg_options = options_.proof.atpg;
   atpg_options.budget = &budget;
@@ -474,7 +471,7 @@ PowderReport PowderOptimizer::run() {
   // that threw half-way: the published deltas describe the mutations that
   // actually executed, so draining them brings every cache in line with
   // whatever state the netlist is in.
-  auto resync = [&]() {
+  const std::function<void()> resync = [&]() {
     model.refresh();  // refreshes the base estimator first, then (timed
                       // model only) re-runs the event-driven estimate
     verify_sim.refresh();
@@ -585,8 +582,73 @@ PowderReport PowderOptimizer::run() {
   bool progress = true;
   bool stopped = false;
 
+  // Commit bookkeeping shared by the pre-pass, the global loop and the
+  // window merge: class statistics, the rollback log, attribution and the
+  // progress stream. `window` is -1 outside the window merge.
+  auto note_commit = [&](ResubClass cls, int window, double power_before,
+                         double area_before) {
+    const double power_after = model.total_power();
+    const double gain = power_before - power_after;
+    const double area_delta = netlist_->total_area() - area_before;
+    ClassStats& stats = report.by_class[static_cast<std::size_t>(cls)];
+    ++stats.applied;
+    stats.power_delta += gain;
+    stats.area_delta += area_delta;
+    commit_log.push_back(CommitRecord{cls, gain, area_delta});
+    if (attr != nullptr)
+      attr->record_commit(static_cast<int>(cls), window, gain);
+    if (prog != nullptr)
+      prog->commit(audit_iteration, subst_class_name(cls), window, gain,
+                   power_after);
+    m_applied.c->inc();
+  };
+
+  // check_delay (§3.4) against the parent's incremental STA.
+  auto delay_rejects = [&](const CandidateSub& c, bool pg_c_known) {
+    TraceSpan delay_span(trace, "delay_check", "sta");
+    const bool violated =
+        violates_delay(c, report.delay_limit, timing, report.diagnostics);
+    delay_span.arg("violated", violated ? 1 : 0);
+    if (violated) {
+      m_delay.c->inc();
+      audit_decision(c, "rejected_delay", pg_c_known);
+    }
+    return violated;
+  };
+
+  // A checked_apply that did not commit: count and audit it (against the
+  // state the guard saw), then undo a guard-rejected commit. A candidate
+  // the checkpoint recorded as accepted must commit, so replaying one means
+  // the resume diverged. Returns false when the rollback met a corrupted
+  // journal: the run stops committing and lets the final guard judge.
+  auto reject_commit = [&](const CandidateSub& c, ApplyStatus status,
+                           bool replaying, bool pg_c_known,
+                           const char* proof_engine,
+                           const char* proof_verdict, double proof_us) {
+    if (status == ApplyStatus::kApplyFailed) {
+      if (replaying)
+        throw Error::input(
+            "resume diverged: a checkpointed substitution failed to "
+            "re-apply (wrong input netlist or tampered log?)");
+      m_apply_fail.c->inc();
+      audit_decision(c, "apply_failed", pg_c_known, proof_engine,
+                     proof_verdict, proof_us);
+      return true;
+    }
+    if (replaying)
+      throw Error::input(
+          "resume diverged: the signature guard rejected a commit the "
+          "checkpoint recorded as accepted");
+    m_guard_rb.c->inc();
+    audit_decision(c, "guard_rollback", pg_c_known, proof_engine,
+                   proof_verdict, proof_us);
+    if (undo_last(journal, resync)) return true;
+    stopped = true;
+    return false;
+  };
+
   // ---- functional-reduction pre-pass (DESIGN.md §12) ---------------------
-  // Runs on the whole netlist before either main loop — including windowed
+  // Runs on the whole netlist before the main loop — including windowed
   // mode, where merging equivalent stems globally is both sound (each merge
   // carries its own permissibility proof and guard check) and more
   // effective than any per-window sweep could be (equivalent signals
@@ -618,7 +680,7 @@ PowderReport PowderOptimizer::run() {
       return true;
     };
     hooks.resync = resync;
-    if (options_.guard.signature_check) hooks.guard_ok = po_signatures_ok;
+    hooks.guard = guard;
     hooks.on_commit = [&](const FuncredCommit& c) {
       if (resume.prepass_active()) {
         if (!same_applied(resume.prepass_current().applied, c.applied))
@@ -628,26 +690,12 @@ PowderReport PowderOptimizer::run() {
         resume.prepass_advance();
       }
       recorder.record_prepass(c.round, c.ordinal, c.cand, c.applied);
-      const double p = model.total_power();
-      const double a = netlist_->total_area();
-      ClassStats& cls =
-          report.by_class[static_cast<std::size_t>(ResubClass::kFuncRed)];
-      ++cls.applied;
-      cls.power_delta += fr_power - p;
-      cls.area_delta += a - fr_area;
-      commit_log.push_back(CommitRecord{ResubClass::kFuncRed, fr_power - p,
-                                        a - fr_area});
-      if (attr != nullptr)
-        attr->record_commit(static_cast<int>(ResubClass::kFuncRed), -1,
-                            fr_power - p);
-      m_applied.c->inc();
+      // Each merge's delta runs from the previous kept merge's state.
+      note_commit(ResubClass::kFuncRed, -1, fr_power, fr_area);
       audit_decision(c.cand, "accepted", false, "funcred", "untestable");
-      if (prog != nullptr)
-        prog->commit(0, subst_class_name(ResubClass::kFuncRed), -1,
-                     fr_power - p, p);
       progress_tick();
-      fr_power = p;
-      fr_area = a;
+      fr_power = model.total_power();
+      fr_area = netlist_->total_area();
     };
     const FuncredStats fr =
         functional_reduction(*netlist_, sim, journal, hooks, nullptr);
@@ -666,609 +714,408 @@ PowderReport PowderOptimizer::run() {
     fr_span.arg("pairs", fr.pairs_tested);
   }
 
-  if (windowed) {
-    // ---- windowed mode (DESIGN.md §11) ----------------------------------
-    // Partition the parent along its topo order, optimize every window
-    // independently (thread fan-out happens here; each local run is a pure
-    // function of its extraction), then merge strictly serially in a
-    // deterministic order — results are bit-identical at any thread count.
-    int next_window_id = 0;
-    std::unordered_set<GateId> touched;
+  // ---- global pass: one harvest, then up to `repeat` commits -------------
+  auto global_pass = [&](int outer) -> long long {
+    finder->reseed(options_.seed + 17 * static_cast<std::uint64_t>(outer));
+    std::vector<CandidateSub> cands;
+    {
+      TraceSpan harvest_span(trace, "harvest", "harvest");
+      if (prog != nullptr) prog->phase(audit_iteration, "harvest");
+      cands = finder->find();
+      harvest_span.arg("candidates", static_cast<long long>(cands.size()));
+    }
+    if (prog != nullptr)
+      prog->phase(audit_iteration, "proof",
+                  static_cast<long long>(cands.size()), "candidates");
+    m_harvested.c->inc(static_cast<long long>(cands.size()));
+    for (const CandidateSub& c : cands)
+      m_cls_harvested[static_cast<std::size_t>(c.cls)].c->inc();
+    m_truncated.c->inc(static_cast<long long>(finder->last_truncated()));
+    if (outer >= 1) {
+      report.diagnostics.candidate_gates_refreshed +=
+          static_cast<long>(finder->last_refresh_count());
+      report.diagnostics.candidate_index_size +=
+          static_cast<long>(finder->index_size());
+    }
 
-    // Per-window WAL oracle views for windowed resume: each local loop
-    // replays proof verdicts from the commits recorded under its window
-    // id, while the merge below still verifies against the global cursor.
-    auto window_records = [&](int id) {
-      std::vector<const WalCommit*> recs;
-      if (resume.loaded())
-        for (const WalCommit& c : resume.commits())
-          if (c.window == static_cast<std::uint32_t>(id)) recs.push_back(&c);
-      return recs;
+    const bool pg_c_known = options_.objective != Objective::kArea;
+    const auto drop_stale = [&](const CandidateSub& c) {
+      m_stale.c->inc();
+      audit_decision(c, "rejected_stale");
     };
-
-    // Merges one optimized window into the parent. Returns false when the
-    // window must be re-run: a boundary conflict, or a mid-window failure
-    // (apply/delay/guard) that strands the commits building on it.
-    long long merged_total = 0;
-    auto merge_window = [&](WindowExtraction& ex, WindowResult& res,
-                            bool check_conflicts) -> bool {
-      // Decisions taken while merging this window carry its id in the
-      // audit stream; restored on every exit path.
-      struct WindowIdScope {
-        int* slot;
-        int saved;
-        WindowIdScope(int* s, int v) : slot(s), saved(*s) { *slot = v; }
-        ~WindowIdScope() { *slot = saved; }
-      } audit_window_scope(&audit_window, ex.id);
-      // Fold the local decision counters serially — deterministic totals.
-      m_harvested.c->inc(res.stats.harvested);
-      m_stale.c->inc(res.stats.stale);
-      m_presim.c->inc(res.stats.presim_rejected);
-      m_proof_rej.c->inc(res.stats.proof_rejected);
-      m_guard_rb.c->inc(res.stats.guard_rollbacks);
-      m_inline.c->inc(res.stats.inline_proofs);
-      m_truncated.c->inc(res.stats.truncated);
-      for (int i = 0; i < kNumResubClasses; ++i) {
-        const auto k = static_cast<std::size_t>(i);
-        m_cls_harvested[k].c->inc(res.stats.harvested_by_class[k]);
-        m_cls_proved[k].c->inc(res.stats.proved_by_class[k]);
+    int performed = 0;
+    while (performed < options_.repeat && !cands.empty()) {
+      if (stop_requested()) {
+        stopped = true;
+        break;
       }
-      if (res.commits.empty()) return true;
-      if (check_conflicts) {
-        for (const GateId g : ex.support)
-          if (touched.count(g) != 0) {
-            m_window_conflicts.c->inc();
-            if (audit != nullptr) {
-              AuditEvent e;
-              e.event = "window_conflict";
-              e.reason = "boundary_overlap";
-              e.value = ex.id;
-              audit->write_event(e);
-            }
-            return false;
-          }
+      // ---- select_power_red_subst ----------------------------------------
+      std::optional<CandidateSub> best =
+          select_best(*netlist_, model, cands, options_, drop_stale);
+      if (!best.has_value()) break;  // nothing left that helps
+      CandidateSub chosen = std::move(*best);
+
+      if (delay_rejects(chosen, pg_c_known)) continue;
+
+      // ---- check_candidate: permissibility proof --------------------------
+      // Fault injection can force an unproven candidate through this
+      // pipeline; the post-commit guard below is what must catch it.
+      bool forced = false;
+      if (inject_fault(FaultInjector::Site::kStaleCandidate))
+        forced = corrupt_candidate(*netlist_, verify_sim, &chosen);
+      if (inject_fault(FaultInjector::Site::kAcceptProof)) forced = true;
+      const char* proof_engine = nullptr;
+      const char* proof_verdict = nullptr;
+      double proof_us = -1.0;
+      if (!forced) {
+        if (presim_refutes(verify_sim, chosen)) {
+          m_presim.c->inc();
+          audit_decision(chosen, "rejected_presim", pg_c_known);
+          continue;
+        }
+        std::optional<AtpgResult> proof;
+        if (resume.active()) {
+          // WAL fast-forward: the oracle replaces the proof engines. A
+          // candidate matching the next recorded commit was proved
+          // permissible by the original run; any other candidate that
+          // reaches this stage was rejected by it. Every cheaper stage
+          // (harvest, selection, staleness, delay, presim) is recomputed
+          // live, so once the cursor drains the run continues seamlessly —
+          // and bit-identically — on the real engines.
+          proof = resume.matches(chosen) ? AtpgResult::kUntestable
+                                         : AtpgResult::kTestFound;
+          proof_engine = "replay";
+        } else if (ladder.level() == DegradationLevel::kSignatureOnly) {
+          // Signature-reject-only rung: proof effort is no longer
+          // affordable, and an unproven candidate is never accepted — so
+          // everything that survives presim is rejected here while the run
+          // drains toward a clean stop with its committed gains intact.
+          m_degraded.c->inc();
+          audit_decision(chosen, "rejected_degraded", pg_c_known, "none",
+                         "skipped");
+          continue;
+        } else {
+          const ProofEngine engine =
+              ladder.level() == DegradationLevel::kPodemOnly
+                  ? ProofEngine::kPodem
+                  : options_.proof.engine;
+          const bool timed = options_.trace.any();
+          const std::uint64_t t0 = timed ? trace_now_ns() : 0;
+          proof = prove_with_retry(atpg, sat, engine, chosen,
+                                   options_.session.proof_retries,
+                                   m_retries.c);
+          if (timed)
+            proof_us = static_cast<double>(trace_now_ns() - t0) / 1000.0;
+          proof_engine = engine_name(engine);
+          m_inline.c->inc();
+        }
+        proof_verdict = verdict_name(*proof);
+        if (*proof != AtpgResult::kUntestable) {
+          m_proof_rej.c->inc();
+          audit_decision(chosen, "rejected_proof", pg_c_known, proof_engine,
+                         proof_verdict, proof_us);
+          continue;
+        }
+        m_cls_proved[static_cast<std::size_t>(chosen.cls)].c->inc();
       }
-      auto mark = [&](GateId g) {
-        if (g != kNullGate) touched.insert(g);
-      };
-      std::vector<GateId>& to_parent = ex.to_parent;
-      auto map_gate = [&](GateId local, GateId* parent) {
-        if (local >= to_parent.size() || to_parent[local] == kNullGate)
-          return false;
-        *parent = to_parent[local];
-        return true;
-      };
-      for (const WindowCommit& wc : res.commits) {
-        CandidateSub cand = wc.cand;
-        bool mapped = map_gate(wc.cand.target, &cand.target);
-        if (mapped && wc.cand.branch.has_value())
-          mapped = map_gate(wc.cand.branch->gate, &cand.branch->gate);
-        for (int i = 0; mapped && i < wc.cand.rep.num_sources(); ++i)
-          mapped = map_gate(wc.cand.rep.source(i), &cand.rep.source_ref(i));
-        if (!mapped) return false;  // an earlier commit of this window failed
 
-        // Delay check against the parent's real arrival times (the local
-        // loop has none). The rest of the window builds on this commit —
-        // drop it and let a re-run rediscover what still fits.
-        bool delay_violated;
-        {
-          TraceSpan delay_span(trace, "delay_check", "sta");
-          delay_violated = violates_delay(cand, report.delay_limit, timing,
-                                          report.diagnostics);
-          delay_span.arg("violated", delay_violated ? 1 : 0);
-        }
-        if (delay_violated) {
-          m_delay.c->inc();
-          audit_decision(cand, "rejected_delay", true);
-          return false;
-        }
-
-        const double power_before = model.total_power();
-        const double area_before = netlist_->total_area();
-        const bool active = resume.active();
-        AppliedSub applied;
-        try {
-          applied = journal.apply(cand);
-        } catch (const CheckError&) {
-          if (active && resume.matches(cand))
-            throw Error::input(
-                "resume diverged: a checkpointed window substitution failed "
-                "to re-apply (wrong input netlist or tampered log?)");
-          m_apply_fail.c->inc();
-          audit_decision(cand, "apply_failed", true);
-          return false;
-        }
-        resync();
-        if (options_.check_invariants) netlist_->check_consistency();
-
-        if (options_.guard.signature_check && !po_signatures_ok()) {
-          if (active && resume.matches(cand))
-            throw Error::input(
-                "resume diverged: the signature guard rejected a window "
-                "commit the checkpoint recorded as accepted");
-          m_guard_rb.c->inc();
-          audit_decision(cand, "guard_rollback", true);
-          try {
-            journal.rollback_last();
-            resync();
-          } catch (const CheckError&) {
-            resync();
-            stopped = true;
-            return true;  // stopping — no re-run
-          }
-          return false;
-        }
-
-        const double power_after = model.total_power();
-        ClassStats& cls = report.by_class[static_cast<std::size_t>(cand.cls)];
-        ++cls.applied;
-        cls.power_delta += power_before - power_after;
-        cls.area_delta += netlist_->total_area() - area_before;
-        commit_log.push_back(CommitRecord{cand.cls, power_before - power_after,
-                                          netlist_->total_area() -
-                                              area_before});
-        if (attr != nullptr)
-          attr->record_commit(static_cast<int>(cand.cls), ex.id,
-                              power_before - power_after);
-        if (prog != nullptr)
-          prog->commit(audit_iteration, subst_class_name(cand.cls), ex.id,
-                       power_before - power_after, power_after);
-        m_applied.c->inc();
-        m_window_commits.c->inc();
-
-        // Extend the local->parent map with the inserted gate so later
-        // commits of this window that reference it keep mapping.
-        if (wc.applied.new_gate != kNullGate &&
-            applied.new_gate != kNullGate) {
-          if (wc.applied.new_gate >= to_parent.size())
-            to_parent.resize(wc.applied.new_gate + 1, kNullGate);
-          to_parent[wc.applied.new_gate] = applied.new_gate;
-        }
-
-        // Every parent-side edit endpoint joins the touched set; later
-        // windows whose support intersects it are conflict-skipped. The
-        // parent MFFC sweep can exceed the local one (it reaches cones the
-        // window clipped), so the endpoints come from the parent delta.
-        mark(cand.target);
-        for (const GateId g : applied.removed_gates) mark(g);
-        for (const auto& fl : applied.removed_fanins)
-          for (const GateId g : fl) mark(g);
-        for (const RewiredPin& p : applied.rewired_pins) {
-          mark(p.sink);
-          mark(p.old_driver);
-          mark(p.new_driver);
-        }
-        for (const ResizedCell& r : applied.resized_cells) mark(r.gate);
-        for (const GateId g : applied.changed_roots) mark(g);
-        if (applied.new_gate != kNullGate) {
-          mark(applied.new_gate);
-          for (const GateId g : netlist_->fanins(applied.new_gate)) mark(g);
-        }
-
-        if (active) {
-          // Merged commits drain the global cursor in lockstep: the merge
-          // order is deterministic, so record i of the WAL is exactly the
-          // i-th commit merged here.
-          const WalCommit& rec = resume.current();
-          if (rec.window != static_cast<std::uint32_t>(ex.id) ||
-              !same_candidate(rec.cand, cand) ||
-              !same_applied(rec.applied, applied))
-            throw Error::input(
-                "resume diverged: merged window commits no longer match the "
-                "checkpoint");
-          resume.advance();
-        }
-        recorder.record_commit(audit_iteration,
-                               static_cast<int>(merged_total), cand, applied,
-                               static_cast<std::uint32_t>(ex.id));
-        audit_decision(cand, "accepted", true, "window", "untestable");
-        ++merged_total;
-        progress = true;
+      // ---- perform_substitution + power_estimate_update -------------------
+      const double power_before = model.total_power();
+      const double area_before = netlist_->total_area();
+      const bool replaying = resume.matches(chosen);
+      AppliedSub applied;
+      const ApplyStatus status =
+          checked_apply(journal, chosen, resync, guard,
+                        options_.check_invariants, &applied);
+      if (status != ApplyStatus::kApplied) {
+        if (!reject_commit(chosen, status, replaying, pg_c_known,
+                           proof_engine, proof_verdict, proof_us))
+          break;
+        continue;
       }
-      return true;
-    };
-
-    for (int outer = 0;
-         progress && !stopped && outer < options_.max_outer_iterations;
-         ++outer) {
-      m_iterations.c->inc();
-      audit_iteration = outer + 1;
-      TraceSpan iter_span(trace, "iteration", "powder");
-      iter_span.arg("outer", outer + 1);
-      progress = false;
-      if (stop_requested()) break;
+      note_commit(chosen.cls, -1, power_before, area_before);
+      if (replaying) {
+        // Replay verification: the re-applied mutation must reproduce the
+        // recorded delta bit-for-bit before the cursor moves on.
+        if (!same_applied(resume.current().applied, applied))
+          throw Error::input(
+              "resume diverged: a replayed substitution produced a "
+              "different netlist delta than the checkpoint recorded");
+        resume.advance();
+      }
+      // Durable commit: the WAL frame is appended (and fsync'd) only after
+      // the signature guard accepted the commit, so a resume never replays
+      // a rolled-back substitution. A kill inside the frame write leaves a
+      // torn tail the reader drops — the commit then simply re-runs live
+      // on resume, with the same deterministic verdict.
+      recorder.record_commit(audit_iteration, performed, chosen, applied);
+      audit_decision(chosen, "accepted", pg_c_known, proof_engine,
+                     proof_verdict, proof_us);
+      ++performed;
+      progress = true;
       progress_tick();
-      const long long merged_before = merged_total;
+    }
+    if (prog != nullptr)
+      prog->phase(audit_iteration, "commit", performed, "applied");
+    return static_cast<long long>(performed);
+  };
 
-      // Partition and extract serially from the current parent state.
-      std::vector<WindowExtraction> extractions;
-      {
-        TraceSpan part_span(trace, "window_partition", "window");
-        if (prog != nullptr)
-          prog->phase(audit_iteration, "window_partition");
-        const auto plans = partition_windows(*netlist_, options_.window);
-        extractions.reserve(plans.size());
-        for (const auto& plan : plans) {
-          extractions.push_back(
-              extract_window(*netlist_, model, plan, next_window_id++));
-          m_windows.c->inc();
-          m_window_gates.c->inc(
-              static_cast<long long>(extractions.back().gates.size()));
-          if (prog != nullptr)
-            prog->window_event(
-                audit_iteration, extractions.back().id, "extracted",
-                static_cast<long long>(extractions.back().gates.size()));
-        }
-        part_span.arg("windows", static_cast<long long>(extractions.size()));
-      }
-      if (extractions.empty()) break;
+  // ---- window pass (DESIGN.md §11) ---------------------------------------
+  // Partition the parent along its topo order, optimize every window
+  // independently (thread fan-out happens here; each local run is a pure
+  // function of its extraction), then merge strictly serially in a
+  // deterministic order — results are bit-identical at any thread count.
+  int next_window_id = 0;
+  std::unordered_set<GateId> touched;
+  long long merged_total = 0;
 
-      std::vector<std::vector<const WalCommit*>> oracles(extractions.size());
-      for (std::size_t i = 0; i < extractions.size(); ++i)
-        oracles[i] = window_records(extractions[i].id);
-      std::vector<WindowResult> results(extractions.size());
-      pool.for_shards(static_cast<int>(extractions.size()),
-                      [&](int shard, int) {
-                        WindowRunOptions wo;
-                        wo.base = &options_;
-                        wo.seed =
-                            window_seed(options_.seed, extractions[shard].id);
-                        wo.budget = &budget;
-                        wo.trace = trace;
-                        wo.replay = &oracles[shard];
-                        results[shard] =
-                            optimize_window(extractions[shard], wo);
-                      });
+  // One local run. Its WAL oracle view holds the commits recorded under the
+  // window's id, so the local loop replays their proof verdicts while the
+  // merge below still verifies against the global cursor. Runs on pool
+  // threads, reading only the resume state loaded before the loop.
+  auto run_window = [&](WindowExtraction& ex) {
+    std::vector<const WalCommit*> oracle;
+    if (resume.loaded())
+      for (const WalCommit& c : resume.commits())
+        if (c.window == static_cast<std::uint32_t>(ex.id)) oracle.push_back(&c);
+    WindowRunOptions wo{&options_, window_seed(options_.seed, ex.id)};
+    wo.budget = &budget;
+    wo.trace = trace;
+    wo.replay = &oracle;
+    return optimize_window(ex, wo);
+  };
 
-      touched.clear();
-      std::vector<std::size_t> rerun_queue;
-      {
-        TraceSpan merge_span(trace, "window_merge", "window");
-        if (prog != nullptr)
-          prog->phase(audit_iteration, "window_merge",
-                      static_cast<long long>(extractions.size()), "windows");
-        const auto order = window_merge_order(extractions.size(),
-                                              options_.window.order_seed);
-        for (const std::size_t idx : order) {
-          if (stopped || stop_requested()) {
-            stopped = true;
-            break;
-          }
-          if (!merge_window(extractions[idx], results[idx],
-                            /*check_conflicts=*/true)) {
-            rerun_queue.push_back(idx);
-            if (prog != nullptr)
-              prog->window_event(audit_iteration, extractions[idx].id,
-                                 "conflict");
-          } else if (prog != nullptr) {
-            prog->window_event(
-                audit_iteration, extractions[idx].id, "merged", -1,
-                static_cast<long long>(results[idx].commits.size()));
-          }
-          progress_tick();
-        }
-        merge_span.arg("merged", merged_total - merged_before);
-        merge_span.arg("conflicts",
-                       static_cast<long long>(rerun_queue.size()));
-      }
-
-      // Conflicted windows re-run serially against the now-mutated parent:
-      // re-extract the surviving gates, optimize inline, merge immediately
-      // (nothing intervenes, so no conflict check is needed).
-      for (int round = 0; round < options_.window.rerun_limit &&
-                          !rerun_queue.empty() && !stopped;
-           ++round) {
-        std::vector<std::size_t> next_queue;
-        for (const std::size_t idx : rerun_queue) {
-          if (stopped || stop_requested()) {
-            stopped = true;
-            break;
-          }
-          std::vector<std::uint8_t> member(netlist_->num_slots(), 0);
-          for (const GateId g : extractions[idx].gates)
-            if (netlist_->alive(g) && netlist_->kind(g) == GateKind::kCell)
-              member[g] = 1;
-          std::vector<GateId> alive_gates;
-          for (const GateId g : netlist_->topo_order())
-            if (member[g]) alive_gates.push_back(g);
-          if (alive_gates.empty()) continue;
-          m_window_reruns.c->inc();
-          WindowExtraction ex =
-              extract_window(*netlist_, model, alive_gates, next_window_id++);
-          m_windows.c->inc();
-          m_window_gates.c->inc(static_cast<long long>(ex.gates.size()));
+  // Merges one optimized window into the parent. Returns false when the
+  // window must be re-run: a boundary conflict, or a mid-window failure
+  // (apply/delay/guard) that strands the commits building on it.
+  auto merge_window = [&](WindowExtraction& ex, WindowResult& res,
+                          bool check_conflicts) -> bool {
+    // Decisions taken while merging this window carry its id in the
+    // audit stream; restored on every exit path.
+    struct WindowIdScope {
+      int* slot;
+      int saved;
+      WindowIdScope(int* s, int v) : slot(s), saved(*s) { *slot = v; }
+      ~WindowIdScope() { *slot = saved; }
+    } audit_window_scope(&audit_window, ex.id);
+    // Fold the local decision counters serially — deterministic totals.
+    m_harvested.c->inc(res.stats.harvested);
+    m_stale.c->inc(res.stats.stale);
+    m_presim.c->inc(res.stats.presim_rejected);
+    m_proof_rej.c->inc(res.stats.proof_rejected);
+    m_guard_rb.c->inc(res.stats.guard_rollbacks);
+    m_inline.c->inc(res.stats.inline_proofs);
+    m_truncated.c->inc(res.stats.truncated);
+    for (int i = 0; i < kNumResubClasses; ++i) {
+      const auto k = static_cast<std::size_t>(i);
+      m_cls_harvested[k].c->inc(res.stats.harvested_by_class[k]);
+      m_cls_proved[k].c->inc(res.stats.proved_by_class[k]);
+    }
+    if (res.commits.empty()) return true;
+    if (check_conflicts) {
+      for (const GateId g : ex.support)
+        if (touched.count(g) != 0) {
+          m_window_conflicts.c->inc();
           if (audit != nullptr) {
             AuditEvent e;
-            e.event = "window_rerun";
-            e.reason = "boundary_conflict";
+            e.event = "window_conflict";
+            e.reason = "boundary_overlap";
             e.value = ex.id;
             audit->write_event(e);
           }
-          WindowRunOptions wo;
-          wo.base = &options_;
-          wo.seed = window_seed(options_.seed, ex.id);
-          wo.budget = &budget;
-          wo.trace = trace;
-          const auto oracle = window_records(ex.id);
-          wo.replay = &oracle;
-          if (prog != nullptr)
-            prog->window_event(audit_iteration, ex.id, "rerun",
-                               static_cast<long long>(ex.gates.size()));
-          WindowResult res = optimize_window(ex, wo);
-          if (!merge_window(ex, res, /*check_conflicts=*/false))
-            next_queue.push_back(idx);
-          progress_tick();
+          return false;
         }
-        rerun_queue = std::move(next_queue);
-      }
-      iter_span.arg("applied", merged_total - merged_before);
     }
-  } else {
-    for (int outer = 0;
-         progress && !stopped && outer < options_.max_outer_iterations;
-         ++outer) {
-      m_iterations.c->inc();
-      audit_iteration = outer + 1;
-      TraceSpan iter_span(trace, "iteration", "powder");
-      iter_span.arg("outer", outer + 1);
-      progress = false;
-      if (stop_requested()) break;
-      progress_tick();
+    auto mark = [&](GateId g) {
+      if (g != kNullGate) touched.insert(g);
+    };
+    for (const WindowCommit& wc : res.commits) {
+      CandidateSub cand;
+      if (!map_to_parent(ex.to_parent, wc.cand, &cand))
+        return false;  // an earlier commit of this window failed
 
-      finder->reseed(options_.seed + 17 * static_cast<std::uint64_t>(outer));
-      std::vector<CandidateSub> cands;
-      {
-        TraceSpan harvest_span(trace, "harvest", "harvest");
-        if (prog != nullptr) prog->phase(audit_iteration, "harvest");
-        cands = finder->find();
-        harvest_span.arg("candidates", static_cast<long long>(cands.size()));
+      // The rest of the window builds on this commit — on a delay
+      // violation drop it and let a re-run rediscover what still fits.
+      if (delay_rejects(cand, true)) return false;
+
+      const double power_before = model.total_power();
+      const double area_before = netlist_->total_area();
+      const bool active = resume.active();
+      AppliedSub applied;
+      const ApplyStatus status =
+          checked_apply(journal, cand, resync, guard,
+                        options_.check_invariants, &applied);
+      if (status != ApplyStatus::kApplied) {
+        if (!reject_commit(cand, status, active && resume.matches(cand),
+                           true, nullptr, nullptr, -1.0))
+          return true;  // stopping — no re-run
+        return false;
       }
+      note_commit(cand.cls, ex.id, power_before, area_before);
+      m_window_commits.c->inc();
+      // Later commits of this window that reference the inserted gate
+      // keep mapping.
+      map_inserted_gate(ex.to_parent, wc.applied.new_gate, applied.new_gate);
+
+      // Every parent-side edit endpoint joins the touched set; later
+      // windows whose support intersects it are conflict-skipped. The
+      // parent MFFC sweep can exceed the local one (it reaches cones the
+      // window clipped), so the endpoints come from the parent delta.
+      mark(cand.target);
+      for (const GateId g : applied.removed_gates) mark(g);
+      for (const auto& fl : applied.removed_fanins)
+        for (const GateId g : fl) mark(g);
+      for (const RewiredPin& p : applied.rewired_pins) {
+        mark(p.sink);
+        mark(p.old_driver);
+        mark(p.new_driver);
+      }
+      for (const ResizedCell& r : applied.resized_cells) mark(r.gate);
+      for (const GateId g : applied.changed_roots) mark(g);
+      if (applied.new_gate != kNullGate) {
+        mark(applied.new_gate);
+        for (const GateId g : netlist_->fanins(applied.new_gate)) mark(g);
+      }
+
+      if (active) {
+        // Merged commits drain the global cursor in lockstep: the merge
+        // order is deterministic, so record i of the WAL is exactly the
+        // i-th commit merged here.
+        const WalCommit& rec = resume.current();
+        if (rec.window != static_cast<std::uint32_t>(ex.id) ||
+            !same_candidate(rec.cand, cand) ||
+            !same_applied(rec.applied, applied))
+          throw Error::input(
+              "resume diverged: merged window commits no longer match the "
+              "checkpoint");
+        resume.advance();
+      }
+      recorder.record_commit(audit_iteration, static_cast<int>(merged_total),
+                             cand, applied, static_cast<std::uint32_t>(ex.id));
+      audit_decision(cand, "accepted", true, "window", "untestable");
+      ++merged_total;
+      progress = true;
+    }
+    return true;
+  };
+
+  auto window_pass = [&]() -> long long {
+    const long long merged_before = merged_total;
+    // Partition and extract serially from the current parent state.
+    std::vector<WindowExtraction> extractions;
+    {
+      TraceSpan part_span(trace, "window_partition", "window");
+      if (prog != nullptr) prog->phase(audit_iteration, "window_partition");
+      const auto plans = partition_windows(*netlist_, options_.window);
+      extractions.reserve(plans.size());
+      for (const auto& plan : plans) {
+        extractions.push_back(
+            extract_window(*netlist_, model, plan, next_window_id++));
+        m_windows.c->inc();
+        m_window_gates.c->inc(
+            static_cast<long long>(extractions.back().gates.size()));
+        if (prog != nullptr)
+          prog->window_event(
+              audit_iteration, extractions.back().id, "extracted",
+              static_cast<long long>(extractions.back().gates.size()));
+      }
+      part_span.arg("windows", static_cast<long long>(extractions.size()));
+    }
+    if (extractions.empty()) return 0;  // no progress: the loop ends
+
+    std::vector<WindowResult> results(extractions.size());
+    pool.for_shards(static_cast<int>(extractions.size()),
+                    [&](int shard, int) {
+                      results[shard] = run_window(extractions[shard]);
+                    });
+
+    touched.clear();
+    std::vector<std::size_t> rerun_queue;
+    {
+      TraceSpan merge_span(trace, "window_merge", "window");
       if (prog != nullptr)
-        prog->phase(audit_iteration, "proof",
-                    static_cast<long long>(cands.size()), "candidates");
-      m_harvested.c->inc(static_cast<long long>(cands.size()));
-      for (const CandidateSub& c : cands)
-        m_cls_harvested[static_cast<std::size_t>(c.cls)].c->inc();
-      m_truncated.c->inc(static_cast<long long>(finder->last_truncated()));
-      if (outer >= 1) {
-        report.diagnostics.candidate_gates_refreshed +=
-            static_cast<long>(finder->last_refresh_count());
-        report.diagnostics.candidate_index_size +=
-            static_cast<long>(finder->index_size());
-      }
-
-      int performed = 0;
-      while (performed < options_.repeat && !cands.empty()) {
-        if (stop_requested()) {
+        prog->phase(audit_iteration, "window_merge",
+                    static_cast<long long>(extractions.size()), "windows");
+      const auto order =
+          window_merge_order(extractions.size(), options_.window.order_seed);
+      for (const std::size_t idx : order) {
+        if (stopped || stop_requested()) {
           stopped = true;
           break;
         }
-        // ---- select_power_red_subst --------------------------------------
-        // Refresh validity and PG_A+PG_B of the surviving candidates (the
-        // netlist has changed since harvesting), preselect the best, then
-        // re-estimate PG_C for the shortlist only.
-        const bool area_mode = options_.objective == Objective::kArea;
-        std::vector<std::size_t> order;
-        std::vector<double> metric(cands.size(), 0.0);
-        for (std::size_t i = 0; i < cands.size();) {
-          if (!substitution_still_valid(*netlist_, cands[i])) {
-            m_stale.c->inc();
-            audit_decision(cands[i], "rejected_stale");
-            cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(i));
-            continue;
-          }
-          cands[i].pg_a = compute_pg_a(*netlist_, model, cands[i]);
-          cands[i].pg_b = compute_pg_b(*netlist_, model, cands[i]);
-          metric[i] = area_mode ? compute_area_gain(*netlist_, cands[i])
-                                : cands[i].preselect_gain();
-          order.push_back(i);
-          ++i;
+        if (!merge_window(extractions[idx], results[idx],
+                          /*check_conflicts=*/true)) {
+          rerun_queue.push_back(idx);
+          if (prog != nullptr)
+            prog->window_event(audit_iteration, extractions[idx].id,
+                               "conflict");
+        } else if (prog != nullptr) {
+          prog->window_event(
+              audit_iteration, extractions[idx].id, "merged", -1,
+              static_cast<long long>(results[idx].commits.size()));
         }
-        if (order.empty()) break;
-        std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-          return metric[x] > metric[y];
-        });
-        const std::size_t shortlist =
-            std::min<std::size_t>(order.size(),
-                                  static_cast<std::size_t>(options_.shortlist));
-        std::size_t best = cands.size();
-        double best_gain = options_.min_gain;
-        if (area_mode) {
-          // Area gain is exact — no shortlist re-estimation needed.
-          if (metric[order[0]] > best_gain) best = order[0];
-        } else {
-          for (std::size_t k = 0; k < shortlist; ++k) {
-            CandidateSub& cand = cands[order[k]];
-            cand.pg_c = compute_pg_c(*netlist_, model, cand);
-            if (cand.total_gain() > best_gain) {
-              best_gain = cand.total_gain();
-              best = order[k];
-            }
-          }
-        }
-        if (best == cands.size()) break;  // nothing left that helps
-
-        CandidateSub chosen = cands[best];
-        cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
-        const bool pg_c_known = !area_mode;
-
-        // ---- check_delay (§3.4) -------------------------------------------
-        bool delay_violated;
-        {
-          TraceSpan delay_span(trace, "delay_check", "sta");
-          delay_violated = violates_delay(chosen, report.delay_limit, timing,
-                                          report.diagnostics);
-          delay_span.arg("violated", delay_violated ? 1 : 0);
-        }
-        if (delay_violated) {
-          m_delay.c->inc();
-          audit_decision(chosen, "rejected_delay", pg_c_known);
-          continue;
-        }
-
-        // ---- check_candidate: permissibility proof ------------------------
-        // Fault injection can force an unproven candidate through this
-        // pipeline; the post-commit guard below is what must catch it.
-        bool forced = false;
-        if (inject_fault(FaultInjector::Site::kStaleCandidate))
-          forced = corrupt_candidate(*netlist_, verify_sim, &chosen);
-        if (inject_fault(FaultInjector::Site::kAcceptProof)) forced = true;
-        const char* proof_engine = nullptr;
-        const char* proof_verdict = nullptr;
-        double proof_us = -1.0;
-        if (!forced) {
-          // Cheap pre-proof: simulate the replacement on the independent
-          // pattern set; any output difference is a definite refutation.
-          const std::vector<std::uint64_t> words =
-              replacement_words(verify_sim, chosen.rep);
-          const FanoutRef* branch =
-              chosen.branch.has_value() ? &*chosen.branch : nullptr;
-          const auto diff = verify_sim.output_diff_with_replacement(
-              chosen.target, branch, words);
-          bool refuted = false;
-          for (std::uint64_t w : diff)
-            if (w) {
-              refuted = true;
-              break;
-            }
-          if (refuted) {
-            m_presim.c->inc();
-            audit_decision(chosen, "rejected_presim", pg_c_known);
-            continue;
-          }
-          std::optional<AtpgResult> proof;
-          if (resume.active()) {
-            // WAL fast-forward: the oracle replaces the proof engines. A
-            // candidate matching the next recorded commit was proved
-            // permissible by the original run; any other candidate that
-            // reaches this stage was rejected by it. Every cheaper stage
-            // (harvest, selection, staleness, delay, presim) is recomputed
-            // live, so once the cursor drains the run continues seamlessly —
-            // and bit-identically — on the real engines.
-            proof = resume.matches(chosen) ? AtpgResult::kUntestable
-                                           : AtpgResult::kTestFound;
-            proof_engine = "replay";
-          } else if (ladder.level() == DegradationLevel::kSignatureOnly) {
-            // Signature-reject-only rung: proof effort is no longer
-            // affordable, and an unproven candidate is never accepted — so
-            // everything that survives presim is rejected here while the run
-            // drains toward a clean stop with its committed gains intact.
-            m_degraded.c->inc();
-            audit_decision(chosen, "rejected_degraded", pg_c_known, "none",
-                           "skipped");
-            continue;
-          } else {
-            const ProofEngine engine =
-                ladder.level() == DegradationLevel::kPodemOnly
-                    ? ProofEngine::kPodem
-                    : options_.proof.engine;
-            const bool timed = options_.trace.any();
-            const std::uint64_t t0 = timed ? trace_now_ns() : 0;
-            proof = prove_with_retry(atpg, sat, engine, chosen,
-                                     options_.session.proof_retries,
-                                     m_retries.c);
-            if (timed)
-              proof_us = static_cast<double>(trace_now_ns() - t0) / 1000.0;
-            proof_engine = engine_name(engine);
-            m_inline.c->inc();
-          }
-          proof_verdict = verdict_name(*proof);
-          if (*proof != AtpgResult::kUntestable) {
-            m_proof_rej.c->inc();
-            audit_decision(chosen, "rejected_proof", pg_c_known, proof_engine,
-                           proof_verdict, proof_us);
-            continue;
-          }
-          m_cls_proved[static_cast<std::size_t>(chosen.cls)].c->inc();
-        }
-
-        // ---- perform_substitution + power_estimate_update -----------------
-        const double power_before = model.total_power();
-        const double area_before = netlist_->total_area();
-        const bool replaying = resume.matches(chosen);
-        AppliedSub applied;
-        try {
-          applied = journal.apply(chosen);
-        } catch (const CheckError&) {
-          // Stale or invalid at the last moment: the apply validated before
-          // mutating, so the netlist is untouched — skip the candidate.
-          if (replaying)
-            throw Error::input(
-                "resume diverged: a checkpointed substitution failed to "
-                "re-apply (wrong input netlist or tampered log?)");
-          m_apply_fail.c->inc();
-          audit_decision(chosen, "apply_failed", pg_c_known, proof_engine,
-                         proof_verdict, proof_us);
-          continue;
-        }
-        resync();
-        if (options_.check_invariants) netlist_->check_consistency();
-
-        // ---- guard: the PO signatures must be untouched -------------------
-        if (options_.guard.signature_check && !po_signatures_ok()) {
-          if (replaying)
-            throw Error::input(
-                "resume diverged: the signature guard rejected a commit the "
-                "checkpoint recorded as accepted");
-          m_guard_rb.c->inc();
-          audit_decision(chosen, "guard_rollback", pg_c_known, proof_engine,
-                         proof_verdict, proof_us);
-          try {
-            journal.rollback_last();
-            resync();
-          } catch (const CheckError&) {
-            // Rollback itself failed (possible only with a corrupted
-            // journal); the deltas that did execute were published, so the
-            // same resync still yields trustworthy caches. Stop committing
-            // and let the final guard judge.
-            resync();
-            stopped = true;
-            break;
-          }
-          continue;
-        }
-
-        const double power_after = model.total_power();
-        ClassStats& cls =
-            report.by_class[static_cast<std::size_t>(chosen.cls)];
-        ++cls.applied;
-        cls.power_delta += power_before - power_after;
-        cls.area_delta += netlist_->total_area() - area_before;
-        commit_log.push_back(CommitRecord{chosen.cls,
-                                          power_before - power_after,
-                                          netlist_->total_area() - area_before});
-        if (attr != nullptr)
-          attr->record_commit(static_cast<int>(chosen.cls), -1,
-                              power_before - power_after);
-        if (prog != nullptr)
-          prog->commit(audit_iteration, subst_class_name(chosen.cls), -1,
-                       power_before - power_after, power_after);
-        m_applied.c->inc();
-        if (replaying) {
-          // Replay verification: the re-applied mutation must reproduce the
-          // recorded delta bit-for-bit before the cursor moves on.
-          if (!same_applied(resume.current().applied, applied))
-            throw Error::input(
-                "resume diverged: a replayed substitution produced a "
-                "different netlist delta than the checkpoint recorded");
-          resume.advance();
-        }
-        // Durable commit: the WAL frame is appended (and fsync'd) only after
-        // the signature guard accepted the commit, so a resume never replays
-        // a rolled-back substitution. A kill inside the frame write leaves a
-        // torn tail the reader drops — the commit then simply re-runs live
-        // on resume, with the same deterministic verdict.
-        recorder.record_commit(audit_iteration, performed, chosen, applied);
-        audit_decision(chosen, "accepted", pg_c_known, proof_engine,
-                       proof_verdict, proof_us);
-        ++performed;
-        progress = true;
         progress_tick();
       }
-      if (prog != nullptr)
-        prog->phase(audit_iteration, "commit", performed, "applied");
-      iter_span.arg("applied", performed);
+      merge_span.arg("merged", merged_total - merged_before);
+      merge_span.arg("conflicts", static_cast<long long>(rerun_queue.size()));
     }
+
+    // Conflicted windows re-run serially against the now-mutated parent:
+    // re-extract the surviving gates, optimize inline, merge immediately
+    // (nothing intervenes, so no conflict check is needed).
+    for (int round = 0; round < options_.window.rerun_limit &&
+                        !rerun_queue.empty() && !stopped;
+         ++round) {
+      std::vector<std::size_t> next_queue;
+      for (const std::size_t idx : rerun_queue) {
+        if (stopped || stop_requested()) {
+          stopped = true;
+          break;
+        }
+        std::vector<std::uint8_t> member(netlist_->num_slots(), 0);
+        for (const GateId g : extractions[idx].gates)
+          if (netlist_->alive(g) && netlist_->kind(g) == GateKind::kCell)
+            member[g] = 1;
+        std::vector<GateId> alive_gates;
+        for (const GateId g : netlist_->topo_order())
+          if (member[g]) alive_gates.push_back(g);
+        if (alive_gates.empty()) continue;
+        m_window_reruns.c->inc();
+        WindowExtraction ex =
+            extract_window(*netlist_, model, alive_gates, next_window_id++);
+        m_windows.c->inc();
+        m_window_gates.c->inc(static_cast<long long>(ex.gates.size()));
+        if (audit != nullptr) {
+          AuditEvent e;
+          e.event = "window_rerun";
+          e.reason = "boundary_conflict";
+          e.value = ex.id;
+          audit->write_event(e);
+        }
+        if (prog != nullptr)
+          prog->window_event(audit_iteration, ex.id, "rerun",
+                             static_cast<long long>(ex.gates.size()));
+        WindowResult res = run_window(ex);
+        if (!merge_window(ex, res, /*check_conflicts=*/false))
+          next_queue.push_back(idx);
+        progress_tick();
+      }
+      rerun_queue = std::move(next_queue);
+    }
+    return merged_total - merged_before;
+  };
+
+  for (int outer = 0;
+       progress && !stopped && outer < options_.max_outer_iterations;
+       ++outer) {
+    m_iterations.c->inc();
+    audit_iteration = outer + 1;
+    TraceSpan iter_span(trace, "iteration", "powder");
+    iter_span.arg("outer", outer + 1);
+    progress = false;
+    if (stop_requested()) break;
+    progress_tick();
+    iter_span.arg("applied", windowed ? window_pass() : global_pass(outer));
   }
 
   // Registry -> report snapshot (the Diagnostics compat shim). Must happen
@@ -1303,7 +1150,7 @@ PowderReport PowderOptimizer::run() {
   if (options_.guard.signature_check || pristine.has_value()) {
     if (prog != nullptr) prog->phase(audit_iteration, "final_guard");
     auto state_good = [&]() {
-      if (options_.guard.signature_check && !po_signatures_ok()) return false;
+      if (guard != nullptr && !guard->ok()) return false;
       if (pristine.has_value() &&
           !functionally_equivalent(*pristine, *netlist_))
         return false;

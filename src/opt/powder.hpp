@@ -16,6 +16,11 @@
 //     }
 //   } while (cand_substitutions != {});
 //
+// Each step of the inner loop is one function in opt/greedy.hpp, shared by
+// the global loop, the windowed mode's local loop and merge, and the
+// functional-reduction pre-pass; PowderOptimizer::run() keeps one outer
+// loop that calls either a global pass or a window pass per iteration.
+//
 // With threads > 1, simulation, candidate matching and (windowed mode) the
 // window fan-out shard across a thread pool. Permissibility proofs always
 // run inline, one chosen candidate at a time, on the thread that applies

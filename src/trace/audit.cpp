@@ -3,30 +3,11 @@
 #include <cstdio>
 
 #include "util/check.hpp"
+#include "util/json.hpp"
 
 namespace powder {
 
 namespace {
-
-void append_escaped(std::string* out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': *out += "\\\""; break;
-      case '\\': *out += "\\\\"; break;
-      case '\n': *out += "\\n"; break;
-      case '\t': *out += "\\t"; break;
-      case '\r': *out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 void append_double(std::string* out, const char* key, double v) {
   char buf[48];
@@ -47,25 +28,21 @@ void AuditLog::write(const AuditRecord& r) {
   char buf[96];
   std::snprintf(buf, sizeof(buf),
                 "{\"seq\":%lld,\"iter\":%d,\"window\":%d,\"epoch\":%llu,"
-                "\"cls\":\"",
+                "\"cls\":",
                 r.seq, r.iteration, r.window, r.epoch);
   line += buf;
-  append_escaped(&line, r.cls);
-  std::snprintf(buf, sizeof(buf), "\",\"target\":%lld", r.target);
+  line += json_quote(r.cls);
+  std::snprintf(buf, sizeof(buf), ",\"target\":%lld", r.target);
   line += buf;
   if (!r.target_name.empty()) {
-    line += ",\"target_name\":\"";
-    append_escaped(&line, r.target_name);
-    line += '"';
+    line += ",\"target_name\":" + json_quote(r.target_name);
   }
   if (r.branch_sink >= 0) {
     std::snprintf(buf, sizeof(buf), ",\"branch\":{\"sink\":%lld,\"pin\":%d}",
                   r.branch_sink, r.branch_pin);
     line += buf;
   }
-  line += ",\"rep\":{\"kind\":\"";
-  append_escaped(&line, r.rep_kind);
-  line += '"';
+  line += ",\"rep\":{\"kind\":" + json_quote(r.rep_kind);
   if (r.rep_b >= 0) {
     std::snprintf(buf, sizeof(buf), ",\"b\":%lld", r.rep_b);
     line += buf;
@@ -88,20 +65,16 @@ void AuditLog::write(const AuditRecord& r) {
   append_double(&line, "pg_b", r.pg_b);
   if (r.pg_c_known) append_double(&line, "pg_c", r.pg_c);
   if (r.proof_engine != nullptr) {
-    line += ",\"proof\":{\"engine\":\"";
-    append_escaped(&line, r.proof_engine);
-    line += "\",\"verdict\":\"";
-    append_escaped(&line, r.proof_verdict != nullptr ? r.proof_verdict : "");
-    line += '"';
+    line += ",\"proof\":{\"engine\":" + json_quote(r.proof_engine) +
+            ",\"verdict\":" +
+            json_quote(r.proof_verdict != nullptr ? r.proof_verdict : "");
     if (r.proof_us >= 0.0) {
       std::snprintf(buf, sizeof(buf), ",\"us\":%.3f", r.proof_us);
       line += buf;
     }
     line += '}';
   }
-  line += ",\"decision\":\"";
-  append_escaped(&line, r.decision);
-  line += "\"}\n";
+  line += ",\"decision\":" + json_quote(r.decision) + "}\n";
 
   std::lock_guard<std::mutex> lock(mutex_);
   os_->write(line.data(), static_cast<std::streamsize>(line.size()));
@@ -111,28 +84,18 @@ void AuditLog::write(const AuditRecord& r) {
 void AuditLog::write_event(const AuditEvent& e) {
   std::string line;
   line.reserve(160);
-  line += "{\"event\":\"";
-  append_escaped(&line, e.event);
-  line += '"';
+  line += "{\"event\":" + json_quote(e.event);
   if (e.from != nullptr) {
-    line += ",\"from\":\"";
-    append_escaped(&line, e.from);
-    line += '"';
+    line += ",\"from\":" + json_quote(e.from);
   }
   if (e.to != nullptr) {
-    line += ",\"to\":\"";
-    append_escaped(&line, e.to);
-    line += '"';
+    line += ",\"to\":" + json_quote(e.to);
   }
   if (e.reason != nullptr) {
-    line += ",\"reason\":\"";
-    append_escaped(&line, e.reason);
-    line += '"';
+    line += ",\"reason\":" + json_quote(e.reason);
   }
   if (e.detail != nullptr) {
-    line += ",\"detail\":\"";
-    append_escaped(&line, e.detail);
-    line += '"';
+    line += ",\"detail\":" + json_quote(e.detail);
   }
   if (e.elapsed_seconds >= 0.0)
     append_double(&line, "elapsed_s", e.elapsed_seconds);

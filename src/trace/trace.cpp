@@ -1,10 +1,11 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace powder {
 
@@ -99,29 +100,6 @@ std::size_t TraceSession::threads_seen() const {
 
 namespace {
 
-void append_json_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; s != nullptr && *s != '\0'; ++s) {
-    const char c = *s;
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
 /// Microseconds with nanosecond resolution, printed as a decimal (Chrome's
 /// `ts`/`dur` unit is microseconds; fractions are allowed).
 void append_us(std::ostream& os, std::uint64_t ns) {
@@ -158,10 +136,8 @@ void TraceSession::write_chrome_json(std::ostream& os) {
         "\"args\":{\"name\":\"powder\"}}";
   for (const TaggedEvent& te : events) {
     const TraceEvent& ev = te.event;
-    os << ",\n{\"name\":";
-    append_json_string(os, ev.name);
-    os << ",\"cat\":";
-    append_json_string(os, ev.cat != nullptr ? ev.cat : "default");
+    os << ",\n{\"name\":" << json_quote(ev.name) << ",\"cat\":"
+       << json_quote(ev.cat != nullptr ? ev.cat : "default");
     os << ",\"ph\":\"" << ev.ph << "\",\"pid\":1,\"tid\":" << te.tid
        << ",\"ts\":";
     append_us(os, ev.ts_ns >= t0_ns_ ? ev.ts_ns - t0_ns_ : 0);
@@ -174,14 +150,12 @@ void TraceSession::write_chrome_json(std::ostream& os) {
       os << ",\"args\":{";
       bool first = true;
       if (ev.arg1_name != nullptr) {
-        append_json_string(os, ev.arg1_name);
-        os << ":" << ev.arg1;
+        os << json_quote(ev.arg1_name) << ":" << ev.arg1;
         first = false;
       }
       if (ev.arg2_name != nullptr) {
         if (!first) os << ",";
-        append_json_string(os, ev.arg2_name);
-        os << ":" << ev.arg2;
+        os << json_quote(ev.arg2_name) << ":" << ev.arg2;
       }
       os << "}";
     }
@@ -197,217 +171,98 @@ std::string TraceSession::chrome_json() {
 }
 
 // ---------------------------------------------------------------------------
-// Minimal Chrome-JSON schema validation (no external JSON dependency): a
-// recursive-descent parser that keeps only what the checks need.
+// Chrome-JSON schema validation, on the shared strict JSON reader.
 
 namespace {
 
-struct JsonCursor {
-  const char* p;
-  const char* end;
-  std::string error;
-
-  bool fail(const std::string& msg) {
-    if (error.empty()) error = msg;
-    return false;
+/// Parses `json` and returns its `traceEvents` array (owned by `*doc`), or
+/// nullptr with `*error` set.
+const JsonValue* trace_events(std::string_view json,
+                              std::unique_ptr<JsonValue>* doc,
+                              std::string* error) {
+  *doc = json_parse(json, error);
+  if (*doc == nullptr) return nullptr;
+  if (!(*doc)->is_object()) {
+    *error = "top level is not an object";
+    return nullptr;
   }
-  void skip_ws() {
-    while (p != end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
-      ++p;
+  const JsonValue* events = (*doc)->find("traceEvents");
+  if (events == nullptr) {
+    *error = "missing traceEvents";
+    return nullptr;
   }
-  bool consume(char c) {
-    skip_ws();
-    if (p == end || *p != c) return false;
-    ++p;
-    return true;
+  if (!events->is_array()) {
+    *error = "traceEvents not an array";
+    return nullptr;
   }
-};
-
-bool skip_value(JsonCursor* c);
-
-bool parse_string(JsonCursor* c, std::string* out) {
-  c->skip_ws();
-  if (c->p == c->end || *c->p != '"') return c->fail("expected string");
-  ++c->p;
-  while (c->p != c->end && *c->p != '"') {
-    if (*c->p == '\\') {
-      ++c->p;
-      if (c->p == c->end) return c->fail("bad escape");
-    }
-    if (out != nullptr) out->push_back(*c->p);
-    ++c->p;
-  }
-  if (c->p == c->end) return c->fail("unterminated string");
-  ++c->p;
-  return true;
+  return events;
 }
 
-bool parse_number(JsonCursor* c, double* out) {
-  c->skip_ws();
-  char* num_end = nullptr;
-  const double v = std::strtod(c->p, &num_end);
-  if (num_end == c->p) return c->fail("expected number");
-  c->p = num_end;
-  if (out != nullptr) *out = v;
-  return true;
-}
-
-bool skip_object(JsonCursor* c) {
-  if (!c->consume('{')) return c->fail("expected object");
-  c->skip_ws();
-  if (c->consume('}')) return true;
-  while (true) {
-    if (!parse_string(c, nullptr)) return false;
-    if (!c->consume(':')) return c->fail("expected ':'");
-    if (!skip_value(c)) return false;
-    if (c->consume('}')) return true;
-    if (!c->consume(',')) return c->fail("expected ',' in object");
-  }
-}
-
-bool skip_array(JsonCursor* c) {
-  if (!c->consume('[')) return c->fail("expected array");
-  c->skip_ws();
-  if (c->consume(']')) return true;
-  while (true) {
-    if (!skip_value(c)) return false;
-    if (c->consume(']')) return true;
-    if (!c->consume(',')) return c->fail("expected ',' in array");
-  }
-}
-
-bool skip_value(JsonCursor* c) {
-  c->skip_ws();
-  if (c->p == c->end) return c->fail("unexpected end");
-  switch (*c->p) {
-    case '{': return skip_object(c);
-    case '[': return skip_array(c);
-    case '"': return parse_string(c, nullptr);
-    case 't':
-      if (c->end - c->p >= 4 && std::strncmp(c->p, "true", 4) == 0) {
-        c->p += 4;
-        return true;
-      }
-      return c->fail("bad literal");
-    case 'f':
-      if (c->end - c->p >= 5 && std::strncmp(c->p, "false", 5) == 0) {
-        c->p += 5;
-        return true;
-      }
-      return c->fail("bad literal");
-    case 'n':
-      if (c->end - c->p >= 4 && std::strncmp(c->p, "null", 4) == 0) {
-        c->p += 4;
-        return true;
-      }
-      return c->fail("bad literal");
-    default: return parse_number(c, nullptr);
-  }
-}
-
-/// Parses one trace event object and checks the minimal schema.
-bool check_event(JsonCursor* c, std::size_t index) {
-  const auto ctx = [index](const std::string& msg) {
-    return "event " + std::to_string(index) + ": " + msg;
-  };
-  if (!c->consume('{')) return c->fail(ctx("expected object"));
-  bool has_name = false, has_ph = false, has_ts = false, has_pid = false,
-       has_tid = false, has_dur = false;
-  std::string ph;
-  c->skip_ws();
-  if (!c->consume('}')) {
-    while (true) {
-      std::string key;
-      if (!parse_string(c, &key)) return false;
-      if (!c->consume(':')) return c->fail(ctx("expected ':'"));
-      if (key == "name") {
-        if (!parse_string(c, nullptr)) return c->fail(ctx("name not a string"));
-        has_name = true;
-      } else if (key == "ph") {
-        if (!parse_string(c, &ph)) return c->fail(ctx("ph not a string"));
-        has_ph = true;
-      } else if (key == "ts") {
-        double v = 0;
-        if (!parse_number(c, &v)) return c->fail(ctx("ts not a number"));
-        if (v < 0) return c->fail(ctx("negative ts"));
-        has_ts = true;
-      } else if (key == "dur") {
-        double v = 0;
-        if (!parse_number(c, &v)) return c->fail(ctx("dur not a number"));
-        if (v < 0) return c->fail(ctx("negative dur"));
-        has_dur = true;
-      } else if (key == "pid") {
-        if (!parse_number(c, nullptr)) return c->fail(ctx("pid not a number"));
-        has_pid = true;
-      } else if (key == "tid") {
-        if (!parse_number(c, nullptr)) return c->fail(ctx("tid not a number"));
-        has_tid = true;
-      } else {
-        if (!skip_value(c)) return false;
-      }
-      if (c->consume('}')) break;
-      if (!c->consume(',')) return c->fail(ctx("expected ','"));
-    }
-  }
-  if (!has_name) return c->fail(ctx("missing name"));
-  if (!has_ph || ph.size() != 1) return c->fail(ctx("missing/bad ph"));
-  if (!has_pid) return c->fail(ctx("missing pid"));
-  if (!has_tid) return c->fail(ctx("missing tid"));
+/// Checks one trace event against the minimal schema; returns the problem,
+/// or an empty string when the event is well formed.
+std::string check_event(const JsonValue& ev) {
+  if (!ev.is_object()) return "expected object";
+  const JsonValue* name = ev.find("name");
+  if (name == nullptr) return "missing name";
+  if (!name->is_string()) return "name not a string";
+  const JsonValue* ph = ev.find_string("ph");
+  if (ph == nullptr || ph->as_string().size() != 1) return "missing/bad ph";
+  const char kind = ph->as_string()[0];
   // Metadata events carry no timestamp requirement; everything else does.
-  if (ph != "M" && !has_ts) return c->fail(ctx("missing ts"));
-  if (ph == "X" && !has_dur) return c->fail(ctx("complete event missing dur"));
-  return true;
+  const struct {
+    const char* key;
+    bool required;
+    bool non_negative;
+  } fields[] = {{"pid", true, false},
+                {"tid", true, false},
+                {"ts", kind != 'M', true},
+                {"dur", kind == 'X', true}};
+  for (const auto& f : fields) {
+    const JsonValue* v = ev.find(f.key);
+    if (v == nullptr) {
+      if (f.required) return std::string("missing ") + f.key;
+      continue;
+    }
+    if (!v->is_number()) return std::string(f.key) + " not a number";
+    if (f.non_negative && v->as_number() < 0)
+      return std::string("negative ") + f.key;
+  }
+  return "";
 }
 
 }  // namespace
 
 bool validate_chrome_json(std::string_view json, std::size_t* num_events,
                           std::string* error) {
-  // Own a null-terminated copy: parse_number leans on strtod, which needs a
-  // terminator to be safe when a number ends the document.
-  const std::string owned(json);
-  JsonCursor c{owned.data(), owned.data() + owned.size(), {}};
-  const auto done = [&](bool ok) {
-    if (!ok && error != nullptr) *error = c.error;
-    return ok;
-  };
-  if (!c.consume('{')) return done(c.fail("top level is not an object"));
-  bool saw_events = false;
-  std::size_t count = 0;
-  c.skip_ws();
-  if (!c.consume('}')) {
-    while (true) {
-      std::string key;
-      if (!parse_string(&c, &key)) return done(false);
-      if (!c.consume(':')) return done(c.fail("expected ':'"));
-      if (key == "traceEvents") {
-        saw_events = true;
-        if (!c.consume('[')) return done(c.fail("traceEvents not an array"));
-        c.skip_ws();
-        if (!c.consume(']')) {
-          while (true) {
-            if (!check_event(&c, count)) return done(false);
-            ++count;
-            if (c.consume(']')) break;
-            if (!c.consume(',')) return done(c.fail("expected ','"));
-          }
-        }
-      } else {
-        if (!skip_value(&c)) return done(false);
-      }
-      if (c.consume('}')) break;
-      if (!c.consume(',')) return done(c.fail("expected ',' at top level"));
-    }
+  std::string problem;
+  std::unique_ptr<JsonValue> doc;
+  const JsonValue* events = trace_events(json, &doc, &problem);
+  for (std::size_t i = 0;
+       events != nullptr && problem.empty() && i < events->items().size();
+       ++i) {
+    problem = check_event(events->items()[i]);
+    if (!problem.empty()) problem = "event " + std::to_string(i) + ": " + problem;
   }
-  c.skip_ws();
-  if (c.p != c.end) return done(c.fail("trailing content"));
-  if (!saw_events) return done(c.fail("missing traceEvents"));
-  if (num_events != nullptr) *num_events = count;
+  if (!problem.empty()) {
+    if (error != nullptr) *error = problem;
+    return false;
+  }
+  if (num_events != nullptr) *num_events = events->items().size();
   return true;
 }
 
 bool validate_window_nesting(std::string_view json, std::size_t* num_windows,
                              std::string* error) {
+  const auto fail = [&](std::string msg) {
+    if (error != nullptr) *error = std::move(msg);
+    return false;
+  };
+  std::string problem;
+  std::unique_ptr<JsonValue> doc;
+  const JsonValue* events = trace_events(json, &doc, &problem);
+  if (events == nullptr) return fail(problem);
+
+  // The complete ('X') "window" and "iteration" spans.
   struct Span {
     double ts = 0.0;
     double dur = 0.0;
@@ -416,96 +271,25 @@ bool validate_window_nesting(std::string_view json, std::size_t* num_windows,
   };
   std::vector<Span> windows;
   std::vector<Span> iterations;
-
-  const std::string owned(json);
-  JsonCursor c{owned.data(), owned.data() + owned.size(), {}};
-  const auto done = [&](bool ok) {
-    if (!ok && error != nullptr) *error = c.error;
-    return ok;
-  };
-
-  // Same walk as validate_chrome_json, but collecting the complete ('X')
-  // "window" and "iteration" spans instead of only schema-checking.
-  if (!c.consume('{')) return done(c.fail("top level is not an object"));
-  c.skip_ws();
-  if (!c.consume('}')) {
-    while (true) {
-      std::string key;
-      if (!parse_string(&c, &key)) return done(false);
-      if (!c.consume(':')) return done(c.fail("expected ':'"));
-      if (key == "traceEvents") {
-        if (!c.consume('[')) return done(c.fail("traceEvents not an array"));
-        c.skip_ws();
-        if (!c.consume(']')) {
-          while (true) {
-            if (!c.consume('{')) return done(c.fail("event not an object"));
-            std::string name, ph;
-            Span s;
-            c.skip_ws();
-            if (!c.consume('}')) {
-              while (true) {
-                std::string ekey;
-                if (!parse_string(&c, &ekey)) return done(false);
-                if (!c.consume(':')) return done(c.fail("expected ':'"));
-                if (ekey == "name") {
-                  if (!parse_string(&c, &name)) return done(false);
-                } else if (ekey == "ph") {
-                  if (!parse_string(&c, &ph)) return done(false);
-                } else if (ekey == "ts") {
-                  if (!parse_number(&c, &s.ts)) return done(false);
-                } else if (ekey == "dur") {
-                  if (!parse_number(&c, &s.dur)) return done(false);
-                } else if (ekey == "tid") {
-                  if (!parse_number(&c, &s.tid)) return done(false);
-                } else if (ekey == "args") {
-                  c.skip_ws();
-                  if (!c.consume('{')) return done(c.fail("args not object"));
-                  c.skip_ws();
-                  if (!c.consume('}')) {
-                    while (true) {
-                      std::string akey;
-                      if (!parse_string(&c, &akey)) return done(false);
-                      if (!c.consume(':'))
-                        return done(c.fail("expected ':'"));
-                      if (akey == "window") {
-                        if (!parse_number(&c, nullptr)) return done(false);
-                        s.has_window_arg = true;
-                      } else {
-                        if (!skip_value(&c)) return done(false);
-                      }
-                      if (c.consume('}')) break;
-                      if (!c.consume(','))
-                        return done(c.fail("expected ',' in args"));
-                    }
-                  }
-                } else {
-                  if (!skip_value(&c)) return done(false);
-                }
-                if (c.consume('}')) break;
-                if (!c.consume(',')) return done(c.fail("expected ','"));
-              }
-            }
-            if (ph == "X") {
-              if (name == "window") windows.push_back(s);
-              if (name == "iteration") iterations.push_back(s);
-            }
-            if (c.consume(']')) break;
-            if (!c.consume(',')) return done(c.fail("expected ','"));
-          }
-        }
-      } else {
-        if (!skip_value(&c)) return done(false);
-      }
-      if (c.consume('}')) break;
-      if (!c.consume(',')) return done(c.fail("expected ',' at top level"));
-    }
+  for (const JsonValue& ev : events->items()) {
+    const JsonValue* name = ev.find_string("name");
+    const JsonValue* ph = ev.find_string("ph");
+    if (name == nullptr || ph == nullptr || ph->as_string() != "X") continue;
+    const auto number = [&](const char* key) {
+      const JsonValue* v = ev.find_number(key);
+      return v != nullptr ? v->as_number() : 0.0;
+    };
+    Span s{number("ts"), number("dur"), number("tid"), false};
+    const JsonValue* args = ev.find_object("args");
+    s.has_window_arg = args != nullptr && args->find_number("window") != nullptr;
+    if (name->as_string() == "window") windows.push_back(s);
+    if (name->as_string() == "iteration") iterations.push_back(s);
   }
 
   for (std::size_t i = 0; i < windows.size(); ++i) {
     const Span& w = windows[i];
     if (!w.has_window_arg)
-      return done(c.fail("window span " + std::to_string(i) +
-                         " has no window arg"));
+      return fail("window span " + std::to_string(i) + " has no window arg");
     bool contained = false;
     for (const Span& it : iterations)
       if (w.ts >= it.ts && w.ts + w.dur <= it.ts + it.dur) {
@@ -513,8 +297,8 @@ bool validate_window_nesting(std::string_view json, std::size_t* num_windows,
         break;
       }
     if (!contained)
-      return done(c.fail("window span " + std::to_string(i) +
-                         " not nested in any iteration span"));
+      return fail("window span " + std::to_string(i) +
+                  " not nested in any iteration span");
   }
   // Per thread, window spans must be disjoint or fully nested: the fan-out
   // runs one window at a time per pool thread, so a partial overlap means
@@ -530,9 +314,9 @@ bool validate_window_nesting(std::string_view json, std::size_t* num_windows,
       if (a.tid != b.tid) continue;
       if (b.ts >= a.ts + a.dur) break;  // disjoint (and all later j too)
       if (b.ts + b.dur > a.ts + a.dur)
-        return done(c.fail("window spans on tid " +
-                           std::to_string(static_cast<long long>(a.tid)) +
-                           " partially overlap"));
+        return fail("window spans on tid " +
+                    std::to_string(static_cast<long long>(a.tid)) +
+                    " partially overlap");
     }
   if (num_windows != nullptr) *num_windows = windows.size();
   return true;

@@ -77,4 +77,29 @@ WindowExtraction extract_window(const Netlist& parent,
   return ex;
 }
 
+bool map_to_parent(const std::vector<GateId>& to_parent,
+                   const CandidateSub& local, CandidateSub* parent) {
+  const auto map_gate = [&](GateId g, GateId* out) {
+    if (g >= to_parent.size() || to_parent[g] == kNullGate) return false;
+    *out = to_parent[g];
+    return true;
+  };
+  *parent = local;
+  if (!map_gate(local.target, &parent->target)) return false;
+  if (local.branch.has_value() &&
+      !map_gate(local.branch->gate, &parent->branch->gate))
+    return false;
+  for (int i = 0; i < local.rep.num_sources(); ++i)
+    if (!map_gate(local.rep.source(i), &parent->rep.source_ref(i)))
+      return false;
+  return true;
+}
+
+void map_inserted_gate(std::vector<GateId>& to_parent, GateId local,
+                       GateId parent) {
+  if (local == kNullGate || parent == kNullGate) return;
+  if (local >= to_parent.size()) to_parent.resize(local + 1, kNullGate);
+  to_parent[local] = parent;
+}
+
 }  // namespace powder

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "netlist/netlist.hpp"
+#include "opt/transform.hpp"
 #include "power/power.hpp"
 
 namespace powder {
@@ -55,5 +56,18 @@ struct WindowExtraction {
 WindowExtraction extract_window(const Netlist& parent,
                                 const PowerModel& estimator,
                                 std::vector<GateId> gates, int id);
+
+/// Rewrites a local candidate into parent ids through `to_parent` (a
+/// WindowExtraction::to_parent map). Returns false when a gate it names has
+/// no parent counterpart: a synthetic local, or a gate inserted by an
+/// earlier local commit that never reached the parent.
+bool map_to_parent(const std::vector<GateId>& to_parent,
+                   const CandidateSub& local, CandidateSub* parent);
+
+/// Records that one commit inserted `local` in the window and `parent` in
+/// the parent, so later commits naming the new gate keep mapping. A no-op
+/// unless both ids are real.
+void map_inserted_gate(std::vector<GateId>& to_parent, GateId local,
+                       GateId parent);
 
 }  // namespace powder

@@ -1,12 +1,12 @@
 #include "window/window_optimizer.hpp"
 
-#include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <optional>
 
 #include "atpg/sat_checker.hpp"
+#include "opt/greedy.hpp"
 #include "opt/journal.hpp"
-#include "opt/power_gain.hpp"
 #include "trace/trace.hpp"
 #include "util/budget.hpp"
 #include "util/check.hpp"
@@ -61,19 +61,7 @@ WindowResult optimize_window(WindowExtraction& ex,
   // Local PO-signature guard: the synthetic outputs pin every boundary
   // signal, so a guard pass here means the window's externally visible
   // values are bit-identical on the independent pattern set.
-  const std::vector<GateId> po_gates = nl.outputs();
-  std::vector<std::uint64_t> po_snapshot;
-  for (const GateId o : po_gates) {
-    const auto words = verify_sim.value(o);
-    po_snapshot.insert(po_snapshot.end(), words.begin(), words.end());
-  }
-  auto po_signatures_ok = [&]() {
-    std::size_t k = 0;
-    for (const GateId o : po_gates)
-      for (const std::uint64_t w : verify_sim.value(o))
-        if (w != po_snapshot[k++]) return false;
-    return true;
-  };
+  const OutputGuard guard(verify_sim);
 
   AtpgOptions atpg_options = base.proof.atpg;
   atpg_options.budget = wo.budget;
@@ -89,38 +77,25 @@ WindowResult optimize_window(WindowExtraction& ex,
   SubstJournal journal(&nl);
   CandidateFinder finder(nl, model, base.candidates, wo.seed, nullptr);
 
-  auto resync = [&]() {
+  const std::function<void()> resync = [&]() {
     model.refresh();
     verify_sim.refresh();
   };
+  // The two windowed soundness filters (see the header comment); a
+  // candidate failing them counts as stale.
+  const auto representable = [&](const CandidateSub& c) {
+    return nl.kind(c.target) == GateKind::kCell &&
+           !(c.branch.has_value() &&
+             nl.kind(c.branch->gate) == GateKind::kOutput);
+  };
+  const auto drop = [&](const CandidateSub&) { ++result.stats.stale; };
 
   // WAL replay oracle. Matching needs parent ids, so the extraction's
   // local->parent map is copied and extended as replayed commits insert
   // gates (the record carries the parent id the original merge assigned).
   std::vector<GateId> to_parent = ex.to_parent;
   std::size_t replay_cursor = 0;
-  auto next_record = [&]() -> const WalCommit* {
-    if (wo.replay == nullptr || replay_cursor >= wo.replay->size())
-      return nullptr;
-    return (*wo.replay)[replay_cursor];
-  };
-  auto map_gate = [&](GateId local, GateId* parent) {
-    if (local >= to_parent.size() || to_parent[local] == kNullGate)
-      return false;
-    *parent = to_parent[local];
-    return true;
-  };
-  auto map_to_parent = [&](const CandidateSub& c, CandidateSub* out) {
-    *out = c;
-    if (!map_gate(c.target, &out->target)) return false;
-    if (c.branch.has_value() && !map_gate(c.branch->gate, &out->branch->gate))
-      return false;
-    for (int i = 0; i < c.rep.num_sources(); ++i)
-      if (!map_gate(c.rep.source(i), &out->rep.source_ref(i))) return false;
-    return true;
-  };
 
-  const bool area_mode = base.objective == Objective::kArea;
   for (int round = 0; round < wo.rounds; ++round) {
     finder.reseed(wo.seed + 17 * static_cast<std::uint64_t>(round));
     std::vector<CandidateSub> cands = finder.find();
@@ -132,83 +107,27 @@ WindowResult optimize_window(WindowExtraction& ex,
     int performed = 0;
     bool progress = false;
     while (performed < base.repeat && !cands.empty()) {
-      // Selection: identical to the global loop's
-      // select_power_red_subst, plus the two windowed soundness filters
-      // (see the header comment).
-      std::vector<std::size_t> order;
-      std::vector<double> metric(cands.size(), 0.0);
-      for (std::size_t i = 0; i < cands.size();) {
-        const CandidateSub& c = cands[i];
-        const bool representable =
-            nl.kind(c.target) == GateKind::kCell &&
-            !(c.branch.has_value() &&
-              nl.kind(c.branch->gate) == GateKind::kOutput);
-        if (!representable || !substitution_still_valid(nl, c)) {
-          ++result.stats.stale;
-          cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(i));
-          continue;
-        }
-        cands[i].pg_a = compute_pg_a(nl, model, cands[i]);
-        cands[i].pg_b = compute_pg_b(nl, model, cands[i]);
-        metric[i] = area_mode ? compute_area_gain(nl, cands[i])
-                              : cands[i].preselect_gain();
-        order.push_back(i);
-        ++i;
-      }
-      if (order.empty()) break;
-      std::sort(order.begin(), order.end(),
-                [&](std::size_t x, std::size_t y) {
-                  return metric[x] > metric[y];
-                });
-      const std::size_t shortlist = std::min<std::size_t>(
-          order.size(), static_cast<std::size_t>(base.shortlist));
-      std::size_t best = cands.size();
-      double best_gain = base.min_gain;
-      if (area_mode) {
-        if (metric[order[0]] > best_gain) best = order[0];
-      } else {
-        for (std::size_t k = 0; k < shortlist; ++k) {
-          CandidateSub& cand = cands[order[k]];
-          cand.pg_c = compute_pg_c(nl, model, cand);
-          if (cand.total_gain() > best_gain) {
-            best_gain = cand.total_gain();
-            best = order[k];
-          }
-        }
-      }
-      if (best == cands.size()) break;
+      const std::optional<CandidateSub> best =
+          select_best(nl, model, cands, base, drop, representable);
+      if (!best.has_value()) break;
+      const CandidateSub& chosen = *best;
 
-      CandidateSub chosen = cands[best];
-      cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(best));
-
-      // Pre-proof refutation on the independent pattern set.
-      {
-        const std::vector<std::uint64_t> words =
-            replacement_words(verify_sim, chosen.rep);
-        const FanoutRef* branch =
-            chosen.branch.has_value() ? &*chosen.branch : nullptr;
-        const auto diff = verify_sim.output_diff_with_replacement(
-            chosen.target, branch, words);
-        bool refuted = false;
-        for (const std::uint64_t w : diff)
-          if (w) {
-            refuted = true;
-            break;
-          }
-        if (refuted) {
-          ++result.stats.presim_rejected;
-          continue;
-        }
+      if (presim_refutes(verify_sim, chosen)) {
+        ++result.stats.presim_rejected;
+        continue;
       }
 
       // Permissibility: the WAL oracle answers candidates it recorded for
       // this window; everything else is proved live (a conflict-skipped
       // local commit never reached the WAL, so no-match must not mean
       // rejected here).
-      const WalCommit* record = next_record();
+      const WalCommit* record =
+          wo.replay != nullptr && replay_cursor < wo.replay->size()
+              ? (*wo.replay)[replay_cursor]
+              : nullptr;
       CandidateSub parent_cand;
       const bool matched = record != nullptr &&
-                           map_to_parent(chosen, &parent_cand) &&
+                           map_to_parent(to_parent, chosen, &parent_cand) &&
                            same_candidate(record->cand, parent_cand);
       if (!matched) {
         ++result.stats.inline_proofs;
@@ -218,30 +137,23 @@ WindowResult optimize_window(WindowExtraction& ex,
           ++result.stats.proof_rejected;
           continue;
         }
-      } else {
-        ++result.stats.replayed;
       }
       ++result.stats.proved_by_class[static_cast<std::size_t>(chosen.cls)];
 
       AppliedSub applied;
-      try {
-        applied = journal.apply(chosen);
-      } catch (const CheckError&) {
+      const ApplyStatus status = checked_apply(
+          journal, chosen, resync,
+          base.guard.signature_check ? &guard : nullptr,
+          /*check_invariants=*/false, &applied);
+      if (status == ApplyStatus::kApplyFailed) {
         ++result.stats.stale;
         continue;
       }
-      resync();
-
-      if (base.guard.signature_check && !po_signatures_ok()) {
+      if (status == ApplyStatus::kGuardFailed) {
         ++result.stats.guard_rollbacks;
-        try {
-          journal.rollback_last();
-          resync();
-        } catch (const CheckError&) {
-          // A rollback failure means the local journal is corrupted; the
-          // published deltas keep the caches truthful, but nothing from
-          // this window can be trusted — abandon it without commits.
-          resync();
+        // A rollback failure means the local journal is corrupted: nothing
+        // from this window can be trusted — abandon it without commits.
+        if (!undo_last(journal, resync)) {
           result.commits.clear();
           return result;
         }
@@ -249,11 +161,8 @@ WindowResult optimize_window(WindowExtraction& ex,
       }
 
       if (matched) {
-        if (applied.new_gate != kNullGate) {
-          if (applied.new_gate >= to_parent.size())
-            to_parent.resize(applied.new_gate + 1, kNullGate);
-          to_parent[applied.new_gate] = record->applied.new_gate;
-        }
+        map_inserted_gate(to_parent, applied.new_gate,
+                          record->applied.new_gate);
         ++replay_cursor;
       }
       result.commits.push_back(WindowCommit{chosen, applied});

@@ -2,16 +2,18 @@
 // Window-scoped optimizer (DESIGN.md §11.3): runs the POWDER
 // harvest→proof→commit loop against one extracted window.
 //
-// The loop is a deliberately serial miniature of the global one — local
-// simulators and signature words, a local candidate index, local proof
-// cones clipped at the window inputs, a local journal with its own
-// PO-signature guard — with three windowed-mode differences:
+// The loop runs the same greedy steps as the global one (opt/greedy.hpp:
+// select_best, presim_refutes, checked_apply with an OutputGuard,
+// undo_last) on local simulators, a local candidate index, local proof
+// cones clipped at the window inputs and a local journal. It differs in
+// three ways:
 //
-//   * candidates targeting a synthetic local input are rejected (an OS2
-//     there would rewire parent fanouts outside the window that the local
-//     proof never saw), and IS2/IS3 branches into a synthetic local output
-//     are rejected (one synthetic pin stands for several parent sinks, so
-//     the edit has no parent representation);
+//   * a "representable" filter in front of selection: candidates targeting
+//     a synthetic local input are rejected (an OS2 there would rewire
+//     parent fanouts outside the window that the local proof never saw),
+//     and IS2/IS3 branches into a synthetic local output are rejected (one
+//     synthetic pin stands for several parent sinks, so the edit has no
+//     parent representation);
 //   * there is no delay check — the merge layer applies it against the
 //     parent's incremental STA, where arrival times are real;
 //   * proofs can be answered by a per-window WAL replay oracle: a
@@ -21,7 +23,7 @@
 //     auto-rejected the way the global resume path does).
 //
 // Each accepted commit is returned in local GateIds; the merge layer maps
-// them onto the parent via WindowExtraction::to_parent.
+// them onto the parent with map_to_parent (window/extract.hpp).
 
 #include <array>
 #include <cstdint>
@@ -51,7 +53,6 @@ struct WindowLocalStats {
   long proof_rejected = 0;
   long guard_rollbacks = 0;
   long inline_proofs = 0;
-  long replayed = 0;   ///< proofs answered by the WAL oracle
   long truncated = 0;  ///< candidates dropped by the max_candidates cap
   /// Per-resubstitution-class harvest/proof counts (diagnostics.resub).
   std::array<long, kNumResubClasses> harvested_by_class{};

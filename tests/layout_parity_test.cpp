@@ -9,12 +9,18 @@
 // the optimized netlist plus the deterministic report fields in hexfloat,
 // so any drift — a reordered fanout list, a float summed in a different
 // order, a changed substitution choice — fails loudly and diffably.
+//
+// The `<circuit>.<config>.golden` files pin three further configurations
+// (windowed mode, the area objective, funcred with 3-divisor classes), each
+// run through a different caller of the shared greedy steps; they were
+// recorded before those callers were folded onto one implementation.
 
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -70,7 +76,7 @@ std::vector<double> pi_profile(int n) {
   return p;
 }
 
-PowderOptions parity_options(int num_inputs, int threads) {
+PowderOptions::Builder parity_options(int num_inputs, int threads) {
   return PowderOptions::builder()
       .patterns(512)
       .repeat(8)
@@ -78,8 +84,7 @@ PowderOptions parity_options(int num_inputs, int threads) {
       .seed(42)
       .threads(threads)
       .delay_limit_factor(1.15)
-      .pi_probs(pi_profile(num_inputs))
-      .build();
+      .pi_probs(pi_profile(num_inputs));
 }
 
 std::string hexd(double v) {
@@ -110,11 +115,35 @@ struct FlowResultText {
   std::string report;
 };
 
-FlowResultText run_flow(const std::string& name, int threads) {
+/// Optimizes one quick-suite circuit with the parity configuration, after
+/// `configure` (if any) adjusted it.
+FlowResultText run_flow(
+    const std::string& name, int threads,
+    const std::function<void(PowderOptions::Builder&)>& configure = {}) {
   Netlist nl = map_aig(make_benchmark(name), lib());
-  const PowderReport rep =
-      optimize(nl, parity_options(nl.num_inputs(), threads));
+  PowderOptions::Builder b = parity_options(nl.num_inputs(), threads);
+  if (configure) configure(b);
+  const PowderReport rep = optimize(nl, b.build());
   return FlowResultText{write_blif(nl), report_fingerprint(rep)};
+}
+
+/// Golden check of one non-default configuration: the report fingerprint
+/// and the optimized BLIF share one file, `<circuit>.<config>.golden`.
+void expect_config_golden(const std::string& file, const FlowResultText& got,
+                          bool record) {
+  const std::string text = got.report + got.blif;
+  if (record) {
+    write_file(golden_path(file), text);
+    return;
+  }
+  const std::string want = read_file(golden_path(file));
+  ASSERT_FALSE(want.empty()) << "missing golden " << file
+                             << " (run with POWDER_REGEN_GOLDEN=1)";
+  EXPECT_EQ(text, want) << "optimized netlist or report drifted for " << file;
+}
+
+void windowed_config(PowderOptions::Builder& b) {
+  b.windowed(true).window_size(64).window_overlap(8);
 }
 
 /// Journal scenario: commit a deterministic batch of substitutions, roll
@@ -197,6 +226,34 @@ TEST_P(LayoutParityTest, JournalStormMatchesGolden) {
   const std::string want = read_file(golden_path(name + ".storm.blif"));
   ASSERT_FALSE(want.empty()) << "missing storm golden for " << name;
   EXPECT_EQ(got, want) << "journal commit/rollback drifted for " << name;
+}
+
+// Windowed mode: the serial run records the golden, and the four-thread
+// run must reproduce it (the merge order is thread-count independent).
+TEST_P(LayoutParityTest, WindowedFlowMatchesGolden) {
+  const std::string file = GetParam() + ".windowed.golden";
+  expect_config_golden(file, run_flow(GetParam(), 1, windowed_config),
+                       regen());
+  expect_config_golden(file, run_flow(GetParam(), 4, windowed_config),
+                       /*record=*/false);
+}
+
+TEST_P(LayoutParityTest, AreaObjectiveMatchesGolden) {
+  expect_config_golden(GetParam() + ".area.golden",
+                       run_flow(GetParam(), 1,
+                                [](PowderOptions::Builder& b) {
+                                  b.objective(Objective::kArea);
+                                }),
+                       regen());
+}
+
+TEST_P(LayoutParityTest, FuncredFlowMatchesGolden) {
+  expect_config_golden(GetParam() + ".funcred.golden",
+                       run_flow(GetParam(), 1,
+                                [](PowderOptions::Builder& b) {
+                                  b.funcred(true).max_divisors(3);
+                                }),
+                       regen());
 }
 
 INSTANTIATE_TEST_SUITE_P(QuickSuite, LayoutParityTest,

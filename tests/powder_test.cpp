@@ -4,12 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "bdd/netlist_bdd.hpp"
 #include "benchgen/benchmarks.hpp"
 #include "mapper/mapper.hpp"
 #include "opt/powder.hpp"
 #include "timing/timing.hpp"
 #include "util/check.hpp"
+#include "util/error.hpp"
 
 namespace powder {
 namespace {
@@ -173,7 +176,14 @@ TEST(Powder, MalformedOptionsAreRejectedUpFront) {
   Netlist nl = map_aig(make_benchmark("rd84"), lib);  // 8 inputs
 
   auto expect_rejected = [&](PowderOptions opt, const char* why) {
-    EXPECT_THROW(PowderOptimizer(&nl, opt), CheckError) << why;
+    try {
+      PowderOptimizer optimizer(&nl, opt);
+      ADD_FAILURE() << "accepted: " << why;
+    } catch (const Error& e) {
+      EXPECT_EQ(e.category(), ErrorCategory::kInput) << why;
+    } catch (...) {
+      ADD_FAILURE() << "untyped exception: " << why;
+    }
   };
 
   {
@@ -209,6 +219,20 @@ TEST(Powder, MalformedOptionsAreRejectedUpFront) {
     PowderOptions opt;
     opt.max_outer_iterations = 0;
     expect_rejected(opt, "zero outer iterations");
+  }
+  {
+    // A NaN delay factor used to drop the limit silently; a negative one
+    // still means "unconstrained".
+    PowderOptions opt;
+    opt.delay_limit_factor = std::nan("");
+    expect_rejected(opt, "NaN delay limit factor");
+    opt.delay_limit_factor = -1.0;
+    EXPECT_NO_THROW(PowderOptimizer(&nl, opt));
+  }
+  {
+    PowderOptions opt;
+    opt.candidates.max_candidates = -1;
+    expect_rejected(opt, "negative max_candidates");
   }
 
   // A full-size, in-range pi_probs vector is fine.

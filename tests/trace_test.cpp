@@ -181,6 +181,19 @@ TEST(ValidateChromeJson, RejectsBrokenDocuments) {
       "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"pid\":1,\"tid\":0,"
       "\"ts\":0}]}",
       &n, &err));  // complete event without dur
+  // Invalid JSON is rejected even where the schema fields look plausible.
+  EXPECT_FALSE(validate_chrome_json(
+      "{\"traceEvents\":[{\"name\":\"a\\q\",\"ph\":\"i\",\"pid\":1,"
+      "\"tid\":0,\"ts\":0}]}",
+      &n, &err));  // unknown string escape
+  EXPECT_FALSE(validate_chrome_json(
+      "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"i\",\"pid\":1,"
+      "\"tid\":0,\"ts\":nan}]}",
+      &n, &err));  // non-JSON number
+  EXPECT_FALSE(validate_chrome_json(
+      "{\"traceEvents\":[{\"name\":\"a\",\"ph\":\"X\",\"pid\":1,"
+      "\"tid\":0,\"ts\":0x10,\"dur\":inf}]}",
+      &n, &err));  // hex and infinite numbers
   EXPECT_TRUE(validate_chrome_json("{\"traceEvents\":[]}", &n, &err)) << err;
   EXPECT_EQ(n, 0u);
 }
