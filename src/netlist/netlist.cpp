@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/check.hpp"
+#include "util/stamp_set.hpp"
 
 namespace powder {
 
@@ -583,20 +584,18 @@ const std::vector<GateId>& Netlist::topo_order() const {
 
 bool Netlist::in_tfo(GateId ancestor, GateId descendant) const {
   if (ancestor == descendant) return false;
-  // Reused scratch: called on every rewire, must not allocate once warm.
-  tfo_seen_.assign(kind_.size(), 0);
-  tfo_stack_.clear();
-  tfo_stack_.push_back(ancestor);
-  tfo_seen_[ancestor] = 1;
-  while (!tfo_stack_.empty()) {
-    const GateId g = tfo_stack_.back();
-    tfo_stack_.pop_back();
+  // Leased scratch: called on every rewire and validity check, must not
+  // allocate or clear num_slots flags once warm.
+  ScratchSet seen(kind_.size());
+  std::vector<GateId>& stack = seen.stack();
+  stack.push_back(ancestor);
+  seen.insert(ancestor);
+  while (!stack.empty()) {
+    const GateId g = stack.back();
+    stack.pop_back();
     for (const FanoutRef& br : fanouts(g)) {
       if (br.gate == descendant) return true;
-      if (!tfo_seen_[br.gate]) {
-        tfo_seen_[br.gate] = 1;
-        tfo_stack_.push_back(br.gate);
-      }
+      if (seen.insert(br.gate)) stack.push_back(br.gate);
     }
   }
   return false;
@@ -604,15 +603,15 @@ bool Netlist::in_tfo(GateId ancestor, GateId descendant) const {
 
 std::vector<GateId> Netlist::tfo(GateId g) const {
   std::vector<GateId> out;
-  std::vector<std::uint8_t> seen(kind_.size(), 0);
-  std::vector<GateId> stack{g};
-  seen[g] = 1;
+  ScratchSet seen(kind_.size());
+  std::vector<GateId>& stack = seen.stack();
+  stack.push_back(g);
+  seen.insert(g);
   while (!stack.empty()) {
     const GateId cur = stack.back();
     stack.pop_back();
     for (const FanoutRef& br : fanouts(cur)) {
-      if (!seen[br.gate]) {
-        seen[br.gate] = 1;
+      if (seen.insert(br.gate)) {
         out.push_back(br.gate);
         stack.push_back(br.gate);
       }
@@ -627,25 +626,25 @@ std::vector<GateId> Netlist::mffc(GateId g,
   // fanin whose every fanout lies inside the cone built so far.
   std::vector<GateId> cone;
   if (kind_[g] != GateKind::kCell) return cone;
-  std::vector<std::uint8_t> pinned(kind_.size(), 0);
+  ScratchSet pinned(kind_.size());
   for (GateId k : keep_alive)
-    if (k != g) pinned[k] = 1;
-  std::vector<std::uint8_t> in_cone(kind_.size(), 0);
+    if (k != g) pinned.insert(k);
+  ScratchSet in_cone(kind_.size());
   cone.push_back(g);
-  in_cone[g] = 1;
+  in_cone.insert(g);
+  const auto absorbable = [&](GateId fi) {
+    if (in_cone.contains(fi) || pinned.contains(fi) ||
+        kind_[fi] != GateKind::kCell)
+      return false;
+    for (const FanoutRef& br : fanouts(fi))
+      if (!in_cone.contains(br.gate)) return false;
+    return true;
+  };
   // Process in reverse-topological manner: repeatedly try to absorb fanins.
   for (std::size_t i = 0; i < cone.size(); ++i) {
     for (GateId fi : fanins(cone[i])) {
-      if (in_cone[fi] || pinned[fi] || kind_[fi] != GateKind::kCell) continue;
-      bool all_inside = true;
-      for (const FanoutRef& br : fanouts(fi)) {
-        if (!in_cone[br.gate]) {
-          all_inside = false;
-          break;
-        }
-      }
-      if (all_inside) {
-        in_cone[fi] = 1;
+      if (absorbable(fi)) {
+        in_cone.insert(fi);
         cone.push_back(fi);
       }
     }
@@ -659,16 +658,8 @@ std::vector<GateId> Netlist::mffc(GateId g,
     changed = false;
     for (std::size_t i = 0; i < cone.size(); ++i) {
       for (GateId fi : fanins(cone[i])) {
-        if (in_cone[fi] || pinned[fi] || kind_[fi] != GateKind::kCell)
-          continue;
-        bool all_inside = true;
-        for (const FanoutRef& br : fanouts(fi))
-          if (!in_cone[br.gate]) {
-            all_inside = false;
-            break;
-          }
-        if (all_inside) {
-          in_cone[fi] = 1;
+        if (absorbable(fi)) {
+          in_cone.insert(fi);
           cone.push_back(fi);
           changed = true;
         }

@@ -292,6 +292,10 @@ class Netlist {
   /// copy first. Safe to call from concurrent readers between mutations.
   const std::vector<GateId>& topo_order() const;
 
+  // The cone queries below are reentrant: their visited marks are leased
+  // per thread (util/stamp_set.hpp), so concurrent readers may call them
+  // between mutations.
+
   /// True if `descendant` is reachable from `ancestor` (strictly; a gate is
   /// not its own transitive fanout).
   bool in_tfo(GateId ancestor, GateId descendant) const;
@@ -395,11 +399,6 @@ class Netlist {
   mutable std::vector<GateId> topo_cache_;
   mutable bool topo_dirty_ = true;
   mutable std::mutex topo_mutex_;
-
-  // Reused DFS scratch for the in_tfo cycle guard: set_fanin runs once per
-  // committed rewire and must not allocate in steady state.
-  mutable std::vector<std::uint8_t> tfo_seen_;
-  mutable std::vector<GateId> tfo_stack_;
 
   GateId new_gate(GateKind kind);
   void connect(GateId driver, GateId sink, int pin);

@@ -30,6 +30,47 @@ bool all_zero(std::span<const std::uint64_t> mask) {
 
 }  // namespace
 
+PairMatcher::PairMatcher(std::vector<Cell> cells) : cells_(std::move(cells)) {
+  for (unsigned key = 0; key < viable_.size(); ++key)
+    for (const Cell& cell : cells_)
+      if (fits(cell.f4, key)) viable_[key] = true;
+}
+
+PairMatcher PairMatcher::for_library(const CellLibrary& lib) {
+  std::vector<Cell> cells;
+  for (CellId id : lib.two_input_cells()) {
+    const TruthTable& f = lib.cell(id).function;
+    if (!f.depends_on(0) || !f.depends_on(1)) continue;
+    unsigned f4 = 0;
+    for (unsigned m = 0; m < 4; ++m)
+      f4 |= static_cast<unsigned>(f.bit(m)) << m;
+    cells.push_back(Cell{id, static_cast<std::uint8_t>(f4)});
+  }
+  return PairMatcher(std::move(cells));
+}
+
+int PairMatcher::occupancy(std::span<const std::uint64_t> b,
+                           std::span<const std::uint64_t> c,
+                           std::span<const std::uint64_t> on,
+                           std::span<const std::uint64_t> off) const {
+  unsigned need0 = 0, need1 = 0;
+  for (std::size_t w = 0; w < b.size(); ++w) {
+    const std::uint64_t bw = b[w], cw = c[w];
+    const std::uint64_t m0 = ~(bw | cw), m1 = bw & ~cw, m2 = ~bw & cw,
+                        m3 = bw & cw;
+    need1 |= static_cast<unsigned>((m0 & on[w]) != 0) |
+             static_cast<unsigned>((m1 & on[w]) != 0) << 1 |
+             static_cast<unsigned>((m2 & on[w]) != 0) << 2 |
+             static_cast<unsigned>((m3 & on[w]) != 0) << 3;
+    need0 |= static_cast<unsigned>((m0 & off[w]) != 0) |
+             static_cast<unsigned>((m1 & off[w]) != 0) << 1 |
+             static_cast<unsigned>((m2 & off[w]) != 0) << 2 |
+             static_cast<unsigned>((m3 & off[w]) != 0) << 3;
+    if (!viable_[need0 << 4 | need1]) return -1;
+  }
+  return static_cast<int>(need0 << 4 | need1);
+}
+
 CandidateFinder::CandidateFinder(const Netlist& netlist,
                                  const PowerModel& estimator,
                                  CandidateOptions options, std::uint64_t seed,
@@ -39,7 +80,8 @@ CandidateFinder::CandidateFinder(const Netlist& netlist,
       sim_(&estimator.simulator()),
       options_(options),
       rng_(seed),
-      pool_(pool) {
+      pool_(pool),
+      pair_matcher_(PairMatcher::for_library(netlist.library())) {
   rebuild_index();
   netlist_->attach_observer(this);
 }
@@ -197,13 +239,14 @@ void CandidateFinder::for_sites(std::size_t n,
 }
 
 std::vector<GateId> CandidateFinder::build_pool(
-    GateId around, const std::vector<std::uint8_t>& forbidden,
+    GateId around, const StampSet& forbidden,
     std::span<const std::size_t> random_draws) const {
   std::vector<GateId> pool;
-  std::vector<std::uint8_t> seen(netlist_->num_slots(), 0);
+  ScratchSet seen(netlist_->num_slots());
   auto try_add = [&](GateId g) {
-    if (seen[g] || forbidden[g] || !netlist_->alive(g)) return false;
-    seen[g] = 1;
+    if (seen.contains(g) || forbidden.contains(g) || !netlist_->alive(g))
+      return false;
+    seen.insert(g);
     if (netlist_->kind(g) == GateKind::kOutput) return false;
     pool.push_back(g);
     return true;
@@ -219,15 +262,14 @@ std::vector<GateId> CandidateFinder::build_pool(
   // nearby signals share support and are the most likely permissible
   // replacements (and the cheapest to wire).
   std::vector<GateId> frontier{around};
-  std::vector<std::uint8_t> visited(netlist_->num_slots(), 0);
-  visited[around] = 1;
+  ScratchSet visited(netlist_->num_slots());
+  visited.insert(around);
   while (!frontier.empty() &&
          static_cast<int>(pool.size()) < options_.local_pool_size) {
     std::vector<GateId> next;
     for (GateId g : frontier) {
       auto visit = [&](GateId n) {
-        if (visited[n]) return;
-        visited[n] = 1;
+        if (!visited.insert(n)) return;
         try_add(n);
         next.push_back(n);
       };
@@ -316,14 +358,14 @@ void CandidateFinder::match_site(GateId target, const FanoutRef* branch,
   };
 
   // Forbidden region for sources: the faulty region of the site.
-  std::vector<std::uint8_t> forbidden(netlist_->num_slots(), 0);
+  ScratchSet forbidden(netlist_->num_slots());
   const GateId entry = branch == nullptr ? target : branch->gate;
-  forbidden[entry] = 1;
-  for (GateId g : netlist_->tfo(entry)) forbidden[g] = 1;
-  forbidden[target] = 1;  // substituting a by a is a no-op
+  forbidden.insert(entry);
+  for (GateId g : netlist_->tfo(entry)) forbidden.insert(g);
+  forbidden.insert(target);  // substituting a by a is a no-op
 
   const std::vector<GateId> pool =
-      build_pool(target, forbidden, random_draws);
+      build_pool(target, forbidden.set(), random_draws);
 
   // --- 2-signal substitutions -------------------------------------------
   for (GateId b : pool) {
@@ -340,8 +382,16 @@ void CandidateFinder::match_site(GateId target, const FanoutRef* branch,
   }
 
   // --- 3-signal substitutions (new 2-input library gate) -----------------
+  // One word pass per (b, c) pair yields the pair's minterm occupancy over
+  // the observable patterns; every library cell is then tested against it
+  // with two mask operations, in library order.
   if (!options_.resub.enable_three_subs) return;
-  const auto& cells = netlist_->library().two_input_cells();
+  std::vector<std::uint64_t> on(static_cast<std::size_t>(W));
+  std::vector<std::uint64_t> off(static_cast<std::size_t>(W));
+  for (std::size_t w = 0; w < on.size(); ++w) {
+    on[w] = sig_a[w] & obs[w];
+    off[w] = ~sig_a[w] & obs[w];
+  }
   int made = 0;
   const int b_limit = std::min<int>(options_.resub.three_sub_b_pool,
                                     static_cast<int>(pool.size()));
@@ -351,31 +401,15 @@ void CandidateFinder::match_site(GateId target, const FanoutRef* branch,
     const auto sig_b = sim_->value(b);
     for (GateId c : pool) {
       if (c == b) continue;
-      const auto sig_c = sim_->value(c);
-      for (CellId cell_id : cells) {
-        const Cell& cell = netlist_->library().cell(cell_id);
-        const TruthTable& f = cell.function;
-        bool ok = true;
-        for (int w = 0; w < W && ok; ++w) {
-          const std::uint64_t bw = sig_b[static_cast<std::size_t>(w)];
-          const std::uint64_t cw = sig_c[static_cast<std::size_t>(w)];
-          std::uint64_t r = 0;
-          if (f.bit(0)) r |= ~bw & ~cw;
-          if (f.bit(1)) r |= bw & ~cw;
-          if (f.bit(2)) r |= ~bw & cw;
-          if (f.bit(3)) r |= bw & cw;
-          if ((r ^ sig_a[static_cast<std::size_t>(w)]) &
-              obs[static_cast<std::size_t>(w)])
-            ok = false;
-        }
-        if (!ok) continue;
-        // Skip degenerate functions (constant or single-input): the
-        // 2-signal pass already covers those shapes more cheaply.
-        if (!f.depends_on(0) || !f.depends_on(1)) continue;
+      const int key = pair_matcher_.occupancy(sig_b, sim_->value(c), on, off);
+      if (key < 0) continue;
+      for (const PairMatcher::Cell& pc : pair_matcher_.cells()) {
+        if (!PairMatcher::fits(pc.f4, static_cast<unsigned>(key))) continue;
         CandidateSub cand = make_base();
         cand.cls = branch == nullptr ? SubstClass::kOS3 : SubstClass::kIS3;
-        cand.rep = ReplacementFunction::two_input(b, c, f);
-        cand.new_cell = cell_id;
+        cand.rep = ReplacementFunction::two_input(
+            b, c, netlist_->library().cell(pc.id).function);
+        cand.new_cell = pc.id;
         finish(std::move(cand));
         if (++made >= options_.resub.max_three_per_target) break;
       }
@@ -513,19 +547,32 @@ std::vector<CandidateSub> CandidateFinder::find() {
                &slice);
   });
 
-  std::vector<CandidateSub> out;
-  for (std::vector<CandidateSub>& slice : slices)
-    for (CandidateSub& cand : slice) out.push_back(std::move(cand));
-  std::sort(out.begin(), out.end(),
-            [](const CandidateSub& x, const CandidateSub& y) {
-              return x.preselect_gain() > y.preselect_gain();
-            });
+  // Rank light (gain, slice, position) keys instead of whole candidates,
+  // then move only the kept ones. std::sort makes the same comparisons on
+  // the keys as on the candidates, so the permutation — ties included — is
+  // the one a sort of the concatenated slices would produce.
+  struct Ranked {
+    double gain;
+    std::uint32_t slice, pos;
+  };
+  std::vector<Ranked> ranked;
+  for (std::size_t i = 0; i < slices.size(); ++i)
+    for (std::size_t j = 0; j < slices[i].size(); ++j)
+      ranked.push_back(Ranked{slices[i][j].preselect_gain(),
+                              static_cast<std::uint32_t>(i),
+                              static_cast<std::uint32_t>(j)});
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Ranked& x, const Ranked& y) { return x.gain > y.gain; });
+  std::size_t keep = ranked.size();
   last_truncated_ = 0;
-  if (static_cast<int>(out.size()) > options_.max_candidates) {
-    last_truncated_ =
-        out.size() - static_cast<std::size_t>(options_.max_candidates);
-    out.resize(static_cast<std::size_t>(options_.max_candidates));
+  if (static_cast<int>(ranked.size()) > options_.max_candidates) {
+    keep = static_cast<std::size_t>(options_.max_candidates);
+    last_truncated_ = ranked.size() - keep;
   }
+  std::vector<CandidateSub> out;
+  out.reserve(keep);
+  for (std::size_t k = 0; k < keep; ++k)
+    out.push_back(std::move(slices[ranked[k].slice][ranked[k].pos]));
   return out;
 }
 

@@ -28,6 +28,7 @@
 // signature buckets sorted — so a persistent finder with the same RNG
 // stream returns bit-identical candidates.
 
+#include <array>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -37,6 +38,7 @@
 #include "opt/substitution.hpp"
 #include "power/power.hpp"
 #include "util/rng.hpp"
+#include "util/stamp_set.hpp"
 #include "util/thread_pool.hpp"
 
 namespace powder {
@@ -67,6 +69,45 @@ struct CandidateOptions {
   int max_candidates = 800;     ///< global cap, best preselect gain first
   bool allow_constants = true;  ///< replace unobservable signals by constants
   ResubOptions resub;           ///< generalized-resubstitution knobs
+};
+
+/// The OS3/IS3 pair kernel. One word pass over a divisor pair (b, c)
+/// yields its minterm occupancy over the observable patterns: bit m of
+/// need1 (need0) is set when minterm m = b + 2c occurs on a pattern where
+/// the target is 1 (0). A two-input function f, as a 4-bit table (bit m =
+/// f at minterm m), agrees with the target on every observable pattern iff
+/// it is 0 on need0 and 1 on need1 — so the pass replaces one word
+/// evaluation per cell, and stops as soon as no cell can fit any more.
+class PairMatcher {
+ public:
+  struct Cell {
+    CellId id;
+    std::uint8_t f4;
+  };
+
+  /// Matches against `cells`, in the given order.
+  explicit PairMatcher(std::vector<Cell> cells = {});
+  /// The library's two-input cells in library order, minus the degenerate
+  /// ones (constant or single-input: the 2-signal pass covers them).
+  static PairMatcher for_library(const CellLibrary& lib);
+
+  const std::vector<Cell>& cells() const { return cells_; }
+
+  /// Occupancy key need0 << 4 | need1 of (b, c), where `on` = target & obs
+  /// and `off` = ~target & obs word-wise; -1 once no cell can fit.
+  int occupancy(std::span<const std::uint64_t> b,
+                std::span<const std::uint64_t> c,
+                std::span<const std::uint64_t> on,
+                std::span<const std::uint64_t> off) const;
+
+  /// Does the 4-bit function `f4` fit the occupancy `key`?
+  static bool fits(unsigned f4, unsigned key) {
+    return (f4 & (key >> 4)) == 0 && (key & 0xFu & ~f4) == 0;
+  }
+
+ private:
+  std::vector<Cell> cells_;
+  std::array<bool, 256> viable_{};  ///< [key]: some cell fits key
 };
 
 class CandidateFinder final : public NetlistObserver {
@@ -128,6 +169,7 @@ class CandidateFinder final : public NetlistObserver {
   ThreadPool* pool_;
   TraceSession* trace_ = nullptr;
 
+  PairMatcher pair_matcher_;  // OS3/IS3 kernel over the library's cells
   std::vector<GateId> signal_gates_;  // live PIs + cells, ascending
   // Global equivalence index: hash of the value signature (and of its
   // complement) -> signals. Catches functionally identical logic anywhere
@@ -159,7 +201,7 @@ class CandidateFinder final : public NetlistObserver {
 
   SitePrep prepare_site(GateId target, const FanoutRef* branch) const;
   std::vector<GateId> build_pool(
-      GateId around, const std::vector<std::uint8_t>& forbidden,
+      GateId around, const StampSet& forbidden,
       std::span<const std::size_t> random_draws) const;
   void match_site(GateId target, const FanoutRef* branch, const SitePrep& prep,
                   std::span<const std::size_t> random_draws,

@@ -33,19 +33,22 @@ std::optional<CandidateSub> select_best(
   const bool area_mode = options.objective == Objective::kArea;
   std::vector<std::size_t> order;
   std::vector<double> metric(cands.size(), 0.0);
-  for (std::size_t i = 0; i < cands.size();) {
+  // One order-preserving compaction: survivors slide down over the dropped
+  // candidates, which are reported in index order.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < cands.size(); ++i) {
     CandidateSub& c = cands[i];
     if ((keep && !keep(c)) || !substitution_still_valid(nl, c)) {
       on_drop(c);
-      cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(i));
       continue;
     }
     c.pg_a = compute_pg_a(nl, model, c);
     c.pg_b = compute_pg_b(nl, model, c);
-    metric[i] = area_mode ? compute_area_gain(nl, c) : c.preselect_gain();
-    order.push_back(i);
-    ++i;
+    metric[kept] = area_mode ? compute_area_gain(nl, c) : c.preselect_gain();
+    if (kept != i) cands[kept] = std::move(c);
+    order.push_back(kept++);
   }
+  cands.erase(cands.begin() + static_cast<std::ptrdiff_t>(kept), cands.end());
   if (order.empty()) return std::nullopt;
   std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
     return metric[x] > metric[y];

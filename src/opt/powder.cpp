@@ -173,6 +173,19 @@ void PowderOptimizer::validate_options() const {
   POWDER_CHECK_MSG(o.candidates.max_candidates >= 0,
                    "PowderOptions.candidates.max_candidates must be "
                    "non-negative, got " << o.candidates.max_candidates);
+  POWDER_CHECK_MSG(o.candidates.local_pool_size >= 0,
+                   "PowderOptions.candidates.local_pool_size must be "
+                   "non-negative, got " << o.candidates.local_pool_size);
+  POWDER_CHECK_MSG(o.candidates.random_pool_size >= 0,
+                   "PowderOptions.candidates.random_pool_size must be "
+                   "non-negative, got " << o.candidates.random_pool_size);
+  POWDER_CHECK_MSG(o.candidates.resub.three_sub_b_pool >= 0,
+                   "PowderOptions.candidates.resub.three_sub_b_pool must be "
+                   "non-negative, got " << o.candidates.resub.three_sub_b_pool);
+  POWDER_CHECK_MSG(o.candidates.resub.max_three_per_target >= 0,
+                   "PowderOptions.candidates.resub.max_three_per_target must "
+                   "be non-negative, got "
+                       << o.candidates.resub.max_three_per_target);
   POWDER_CHECK_MSG(o.proof.atpg.backtrack_limit >= 0,
                    "PowderOptions.proof.atpg.backtrack_limit must be non-negative, "
                    "got " << o.proof.atpg.backtrack_limit);
@@ -750,8 +763,11 @@ PowderReport PowderOptimizer::run() {
         break;
       }
       // ---- select_power_red_subst ----------------------------------------
-      std::optional<CandidateSub> best =
-          select_best(*netlist_, model, cands, options_, drop_stale);
+      std::optional<CandidateSub> best;
+      {
+        TraceSpan select_span(trace, "select", "powder");
+        best = select_best(*netlist_, model, cands, options_, drop_stale);
+      }
       if (!best.has_value()) break;  // nothing left that helps
       CandidateSub chosen = std::move(*best);
 

@@ -1,28 +1,31 @@
 #include "opt/power_gain.hpp"
 
+#include <array>
+#include <bit>
 #include <span>
 
-#include <bit>
-
 #include "util/check.hpp"
+#include "util/stamp_set.hpp"
 
 namespace powder {
 
-std::vector<std::uint64_t> replacement_words(const Simulator& sim,
-                                             const ReplacementFunction& rep) {
+namespace {
+
+/// Calls sink(w, word) for every 64-bit-parallel value word of the
+/// substituting signal, in word order, without materializing the words.
+template <typename Sink>
+void for_each_replacement_word(const Simulator& sim,
+                               const ReplacementFunction& rep, Sink&& sink) {
   const int W = sim.num_words();
-  std::vector<std::uint64_t> out(static_cast<std::size_t>(W), 0);
   switch (rep.kind) {
     case ReplacementFunction::Kind::kConstant:
-      if (rep.constant_value)
-        for (auto& w : out) w = ~0ull;
+      for (int w = 0; w < W; ++w) sink(w, rep.constant_value ? ~0ull : 0ull);
       break;
     case ReplacementFunction::Kind::kSignal: {
       const auto vb = sim.value(rep.b);
       for (int w = 0; w < W; ++w)
-        out[static_cast<std::size_t>(w)] =
-            rep.invert_b ? ~vb[static_cast<std::size_t>(w)]
-                         : vb[static_cast<std::size_t>(w)];
+        sink(w, rep.invert_b ? ~vb[static_cast<std::size_t>(w)]
+                             : vb[static_cast<std::size_t>(w)]);
       break;
     }
     case ReplacementFunction::Kind::kTwoInput: {
@@ -39,16 +42,18 @@ std::vector<std::uint64_t> replacement_words(const Simulator& sim,
         if (f.bit(1)) r |= b & ~c;
         if (f.bit(2)) r |= ~b & c;
         if (f.bit(3)) r |= b & c;
-        out[static_cast<std::size_t>(w)] = r;
+        sink(w, r);
       }
       break;
     }
     case ReplacementFunction::Kind::kCell: {
       // k-ary word evaluation: OR together one AND-term per onset minterm.
       const int k = static_cast<int>(rep.divisors.size());
-      std::vector<std::span<const std::uint64_t>> vals;
-      vals.reserve(static_cast<std::size_t>(k));
-      for (const GateId d : rep.divisors) vals.push_back(sim.value(d));
+      POWDER_CHECK(k <= TruthTable::kMaxVars);
+      std::array<std::span<const std::uint64_t>, TruthTable::kMaxVars> vals;
+      for (int v = 0; v < k; ++v)
+        vals[static_cast<std::size_t>(v)] =
+            sim.value(rep.divisors[static_cast<std::size_t>(v)]);
       const TruthTable& f = rep.two_input_fn;
       const std::uint64_t minterms = 1ull << k;
       for (int w = 0; w < W; ++w) {
@@ -63,20 +68,32 @@ std::vector<std::uint64_t> replacement_words(const Simulator& sim,
           }
           r |= term;
         }
-        out[static_cast<std::size_t>(w)] = r;
+        sink(w, r);
       }
       break;
     }
   }
+}
+
+}  // namespace
+
+std::vector<std::uint64_t> replacement_words(const Simulator& sim,
+                                             const ReplacementFunction& rep) {
+  std::vector<std::uint64_t> out(static_cast<std::size_t>(sim.num_words()));
+  for_each_replacement_word(sim, rep, [&](int w, std::uint64_t word) {
+    out[static_cast<std::size_t>(w)] = word;
+  });
   return out;
 }
 
-double words_activity(std::span<const std::uint64_t> words) {
+double replacement_activity(const Simulator& sim,
+                            const ReplacementFunction& rep) {
   std::uint64_t ones = 0;
-  for (std::uint64_t w : words)
-    ones += static_cast<std::uint64_t>(std::popcount(w));
-  const double p =
-      static_cast<double>(ones) / (64.0 * static_cast<double>(words.size()));
+  for_each_replacement_word(sim, rep, [&](int, std::uint64_t word) {
+    ones += static_cast<std::uint64_t>(std::popcount(word));
+  });
+  const double p = static_cast<double>(ones) /
+                   (64.0 * static_cast<double>(sim.num_words()));
   return 2.0 * p * (1.0 - p);
 }
 
@@ -123,8 +140,8 @@ double compute_pg_a(const Netlist& netlist, const PowerModel& est,
   // inside the cone).
   const std::vector<GateId> cone =
       netlist.mffc(sub.target, replacement_sources(sub));
-  std::vector<std::uint8_t> in_cone(netlist.num_slots(), 0);
-  for (GateId g : cone) in_cone[g] = 1;
+  ScratchSet in_cone(netlist.num_slots());
+  for (GateId g : cone) in_cone.insert(g);
 
   double gain = 0.0;
   // First sum: switched capacitance of the pruned gates' signals. The
@@ -136,7 +153,7 @@ double compute_pg_a(const Netlist& netlist, const PowerModel& est,
     const std::span<const GateId> fanins = netlist.fanins(g);
     for (int pin = 0; pin < static_cast<int>(fanins.size()); ++pin) {
       const GateId fi = fanins[static_cast<std::size_t>(pin)];
-      if (!in_cone[fi])
+      if (!in_cone.contains(fi))
         gain += netlist.pin_cap(g, pin) * est.activity(fi);
     }
   }
@@ -166,8 +183,7 @@ double compute_pg_b(const Netlist& netlist, const PowerModel& est,
     case ReplacementFunction::Kind::kTwoInput:
     case ReplacementFunction::Kind::kCell: {
       const Cell& cell = lib.cell(sub.new_cell);
-      const double e_new =
-          words_activity(replacement_words(est.simulator(), sub.rep));
+      const double e_new = replacement_activity(est.simulator(), sub.rep);
       double cost = moved_cap * e_new;
       for (int i = 0; i < sub.rep.num_sources(); ++i)
         cost += cell.pins[static_cast<std::size_t>(i)].input_cap *

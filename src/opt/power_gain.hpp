@@ -37,8 +37,11 @@ namespace powder {
 std::vector<std::uint64_t> replacement_words(const Simulator& sim,
                                              const ReplacementFunction& rep);
 
-/// Switching activity 2p(1-p) of a word vector.
-double words_activity(std::span<const std::uint64_t> words);
+/// Zero-delay switching activity 2p(1-p) of the substituting signal's
+/// words (p over all 64 * num_words bits), computed without materializing
+/// them.
+double replacement_activity(const Simulator& sim,
+                            const ReplacementFunction& rep);
 
 double compute_pg_a(const Netlist& netlist, const PowerModel& est,
                     const CandidateSub& sub);

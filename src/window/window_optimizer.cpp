@@ -107,8 +107,11 @@ WindowResult optimize_window(WindowExtraction& ex,
     int performed = 0;
     bool progress = false;
     while (performed < base.repeat && !cands.empty()) {
-      const std::optional<CandidateSub> best =
-          select_best(nl, model, cands, base, drop, representable);
+      std::optional<CandidateSub> best;
+      {
+        TraceSpan select_span(wo.trace, "select", "powder");
+        best = select_best(nl, model, cands, base, drop, representable);
+      }
       if (!best.has_value()) break;
       const CandidateSub& chosen = *best;
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "benchgen/benchmarks.hpp"
@@ -89,6 +90,40 @@ TEST(ThreadPool, BackToBackRegions) {
     std::atomic<int> count{0};
     pool.for_shards(7, [&](int, int) { count.fetch_add(1); });
     ASSERT_EQ(count.load(), 7) << "round " << round;
+  }
+}
+
+// The const cone queries lease their visited marks per thread, so readers
+// on several threads may share one netlist (harvest workers do).
+TEST(ParallelParity, ConeQueriesAreReentrantAcrossThreads) {
+  const CellLibrary lib = CellLibrary::standard();
+  const Netlist nl = map_aig(make_benchmark("duke2"), lib);
+  const GateId n = static_cast<GateId>(nl.num_slots());
+  struct Answers {
+    std::vector<std::vector<GateId>> tfo, mffc;
+    std::vector<std::uint8_t> reach;  // in_tfo(g, (g * 7 + 3) % n)
+  };
+  const auto query_all = [&](Answers* out) {
+    for (GateId g = 0; g < n; ++g) {
+      if (!nl.alive(g)) continue;
+      out->tfo.push_back(nl.tfo(g));
+      const std::span<const GateId> fanins = nl.fanins(g);
+      out->mffc.push_back(nl.mffc(
+          g, fanins.empty() ? std::vector<GateId>{}
+                            : std::vector<GateId>{fanins.front()}));
+      out->reach.push_back(nl.in_tfo(g, (g * 7 + 3) % n));
+    }
+  };
+  Answers serial;
+  query_all(&serial);
+  std::vector<Answers> threaded(4);
+  std::vector<std::thread> workers;
+  for (Answers& a : threaded) workers.emplace_back(query_all, &a);
+  for (std::thread& t : workers) t.join();
+  for (const Answers& a : threaded) {
+    EXPECT_EQ(a.tfo, serial.tfo);
+    EXPECT_EQ(a.mffc, serial.mffc);
+    EXPECT_EQ(a.reach, serial.reach);
   }
 }
 

@@ -234,6 +234,28 @@ TEST(Powder, MalformedOptionsAreRejectedUpFront) {
     opt.candidates.max_candidates = -1;
     expect_rejected(opt, "negative max_candidates");
   }
+  {
+    // Negative pool sizes used to act as 0 while still entering the WAL
+    // options fingerprint.
+    PowderOptions opt;
+    opt.candidates.local_pool_size = -1;
+    expect_rejected(opt, "negative local_pool_size");
+  }
+  {
+    PowderOptions opt;
+    opt.candidates.random_pool_size = -1;
+    expect_rejected(opt, "negative random_pool_size");
+  }
+  {
+    PowderOptions opt;
+    opt.candidates.resub.three_sub_b_pool = -1;
+    expect_rejected(opt, "negative three_sub_b_pool");
+  }
+  {
+    PowderOptions opt;
+    opt.candidates.resub.max_three_per_target = -1;
+    expect_rejected(opt, "negative max_three_per_target");
+  }
 
   // A full-size, in-range pi_probs vector is fine.
   PowderOptions opt;

@@ -372,7 +372,8 @@ TEST(Audit, LineCountMatchesCandidatesConsideredThreaded) {
   ASSERT_TRUE(validate_chrome_json(json, &num_events, &error)) << error;
   EXPECT_EQ(trace.dropped(), 0u);
   for (const char* span : {"\"optimize\"", "\"iteration\"", "\"harvest\"",
-                           "\"harvest_shard\"", "\"journal_commit\"",
+                           "\"harvest_shard\"", "\"select\"",
+                           "\"journal_commit\"",
                            "\"sta_resync_arrival\"", "\"podem_check\""})
     EXPECT_NE(json.find(span), std::string::npos) << span;
 
